@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,51 @@ void BM_CameraCaptureFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CameraCaptureFrame);
+
+// The render's noise draws for one Nexus 5 frame (2 normals per pixel),
+// row by row: Arg(1) one fill_normal per row, Arg(0) the call-by-call
+// normal() loop it replaces. Both produce the same bytes.
+void BM_FillNormal(benchmark::State& state) {
+  const bool batched = state.range(0) != 0;
+  const camera::SensorProfile profile = camera::nexus5_profile();
+  util::Xoshiro256 rng(15);
+  std::vector<double> row(2 * static_cast<std::size_t>(profile.columns));
+  for (auto _ : state) {
+    for (int r = 0; r < profile.rows; ++r) {
+      if (batched) {
+        rng.fill_normal(row);
+      } else {
+        for (double& value : row) value = rng.normal();
+      }
+      benchmark::DoNotOptimize(row.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * profile.rows *
+                          static_cast<long long>(row.size()));
+  state.SetLabel(batched ? "fill_normal" : "normal()");
+}
+BENCHMARK(BM_FillNormal)->Arg(0)->Arg(1);
+
+// The render's sRGB quantize for one Nexus 5 frame, row by row.
+void BM_QuantizeSrgbRow(benchmark::State& state) {
+  const camera::SensorProfile profile = camera::nexus5_profile();
+  const auto width = static_cast<std::size_t>(profile.columns);
+  util::Xoshiro256 rng(16);
+  std::vector<util::Vec3> linear(static_cast<std::size_t>(profile.rows) * width);
+  for (auto& pixel : linear) pixel = {rng.uniform(), rng.uniform(), rng.uniform()};
+  std::vector<color::Rgb8> out(linear.size());
+  for (auto _ : state) {
+    for (std::size_t offset = 0; offset < linear.size(); offset += width) {
+      color::quantize_srgb_row(std::span<const util::Vec3>(linear).subspan(offset, width),
+                               std::span<color::Rgb8>(out).subspan(offset, width));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(linear.size()));
+}
+BENCHMARK(BM_QuantizeSrgbRow);
 
 // Per-frame render cost through the streaming pipeline's pooled path
 // (Arg(1): buffers recycled through a BufferPool) versus fresh

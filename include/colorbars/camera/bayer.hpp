@@ -6,9 +6,11 @@
 // source of inter-row color mixing (a demosaiced pixel borrows values
 // from neighbor scanlines), which matters at narrow band widths.
 
+#include <span>
 #include <vector>
 
 #include "colorbars/camera/image.hpp"
+#include "colorbars/util/arena.hpp"
 
 namespace colorbars::camera {
 
@@ -35,5 +37,14 @@ enum class BayerChannel { kRed, kGreen, kBlue };
 /// scratch buffers can be recycled across frames without reallocating.
 void demosaic_into(const std::vector<double>& raw, int rows, int columns,
                    FloatImage& out);
+
+/// Demosaic fused with the sRGB quantizer: out.at(r, c) ==
+/// color::quantize_srgb(demosaic(raw, rows, columns).at(r, c)) for every
+/// pixel, byte for byte. Rows are demosaiced a few at a time into a
+/// window taken from `arena` (valid until its next reset) and quantized
+/// straight into `out` (resized in place; metadata untouched), so no
+/// full-frame RGB image is ever materialized.
+void demosaic_quantize_into(std::span<const double> raw, int rows, int columns,
+                            Frame& out, util::CaptureArena& arena);
 
 }  // namespace colorbars::camera

@@ -93,6 +93,14 @@ struct SensorProfile {
   [[nodiscard]] double band_rows(double symbol_rate_hz) const noexcept {
     return (1.0 / symbol_rate_hz) / row_time_s();
   }
+
+  /// Throws std::invalid_argument unless every field is finite; rows,
+  /// columns, fps, well_capacity and sensitivity are positive; read_noise
+  /// is non-negative; the loss ratio is in [0, 1); and the exposure and
+  /// ISO limits satisfy 0 < min <= max. A profile outside these bounds
+  /// makes the render's noise sigma NaN or its auto-exposure clamp
+  /// undefined (mirrors ExposureSettings::validate).
+  void validate() const;
 };
 
 /// Nexus 5 rear camera model (2448x3264 @ 30 fps; Table 1 loss ratio

@@ -20,6 +20,7 @@
 // ΔE ≈ 2.3 just-noticeable-difference the receiver classifies against.
 
 #include <array>
+#include <span>
 
 #include "colorbars/color/lab.hpp"
 #include "colorbars/color/srgb.hpp"
@@ -62,11 +63,16 @@ rgb8_lab_contributions() noexcept;
 /// Fused sRGB encode + 8-bit quantization of one linear channel.
 /// Returns *exactly* to_rgb8(srgb_encode(...)) for every input — the 255
 /// code-decision boundaries are located once by bisecting the exact
-/// encode chain, so the hot path needs no std::pow at all.
+/// encode chain, so the hot path needs no std::pow at all: a bucket
+/// lookup plus a single compare. NaN maps to code 0.
 [[nodiscard]] std::uint8_t quantize_srgb_channel(double linear) noexcept;
 
 /// Fused encode + quantization of a linear RGB pixel; bit-identical to
 /// to_rgb8(srgb_encode(linear)).
 [[nodiscard]] Rgb8 quantize_srgb(const Vec3& linear) noexcept;
+
+/// quantize_srgb over a row: out[i] = quantize_srgb(linear[i]) for i
+/// below min(linear.size(), out.size()).
+void quantize_srgb_row(std::span<const Vec3> linear, std::span<Rgb8> out) noexcept;
 
 }  // namespace colorbars::color

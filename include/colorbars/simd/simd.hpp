@@ -65,7 +65,10 @@ struct RowSums {
 /// Interior (borderless) RGGB bilinear demosaic: reconstructs rows
 /// [1, rows-1) × columns [1, columns-1) of `rgb_out` (row-major, three
 /// doubles per pixel) from the raw mosaic plane. Border pixels are the
-/// caller's job (camera::demosaic_into's bounds-checked path).
+/// caller's job (camera::demosaic_into's bounds-checked path). The RGGB
+/// phase is relative to `raw`, so a caller may pass a window of rows of
+/// a larger plane that starts on an even row
+/// (camera::demosaic_quantize_into does).
 void demosaic_interior(const double* raw, int rows, int columns, double* rgb_out);
 
 /// Adds `count` pixels' Lab (fast-chain) and encoded-RGB values into

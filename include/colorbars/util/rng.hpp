@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace colorbars::util {
 
@@ -67,6 +68,13 @@ class Xoshiro256 {
 
   /// Standard normal deviate (Marsaglia polar method, deterministic).
   [[nodiscard]] double normal() noexcept;
+
+  /// Fills `out` with exactly the values of out.size() successive
+  /// normal() calls and leaves the generator in the same state they
+  /// would, cached half-pair included. The batch form exists for speed:
+  /// the polar accept loop runs without a data-dependent branch, and the
+  /// log/sqrt of the accepted pairs runs in a separate tight loop.
+  void fill_normal(std::span<double> out) noexcept;
 
   /// Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept {

@@ -1,7 +1,9 @@
 #include "colorbars/camera/bayer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "colorbars/color/lut.hpp"
 #include "colorbars/simd/simd.hpp"
 
 namespace colorbars::camera {
@@ -30,7 +32,7 @@ namespace {
 
 /// Mean of the raw values at the listed (row, col) offsets that fall
 /// inside the image and whose site matches `channel`.
-double neighbor_mean(const std::vector<double>& raw, int rows, int columns, int row,
+double neighbor_mean(std::span<const double> raw, int rows, int columns, int row,
                      int column, BayerChannel channel) {
   static constexpr int kOffsets[8][2] = {{-1, -1}, {-1, 0}, {-1, 1}, {0, -1},
                                          {0, 1},   {1, -1}, {1, 0},  {1, 1}};
@@ -54,7 +56,7 @@ namespace {
 
 /// Generic (bounds-checked) reconstruction of one pixel; used for the
 /// image border where neighbors may fall outside.
-util::Vec3 demosaic_pixel(const std::vector<double>& raw, int rows, int columns, int r,
+util::Vec3 demosaic_pixel(std::span<const double> raw, int rows, int columns, int r,
                           int c) {
   const double own = raw[static_cast<std::size_t>(r) * static_cast<std::size_t>(columns) +
                          static_cast<std::size_t>(c)];
@@ -79,6 +81,17 @@ util::Vec3 demosaic_pixel(const std::vector<double>& raw, int rows, int columns,
   return pixel;
 }
 
+/// Interior rows reconstructed per simd::demosaic_interior call by the
+/// fused path. Even, so every window starts on an even raw row and the
+/// kernel's window-relative RGGB row phase equals the frame's.
+constexpr int kWindowRows = 8;
+
+void check_raw_size(std::span<const double> raw, int rows, int columns) {
+  if (raw.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(columns)) {
+    throw std::invalid_argument("demosaic: raw size does not match dimensions");
+  }
+}
+
 }  // namespace
 
 FloatImage demosaic(const std::vector<double>& raw, int rows, int columns) {
@@ -89,9 +102,7 @@ FloatImage demosaic(const std::vector<double>& raw, int rows, int columns) {
 
 void demosaic_into(const std::vector<double>& raw, int rows, int columns,
                    FloatImage& out) {
-  if (raw.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(columns)) {
-    throw std::invalid_argument("demosaic: raw size does not match dimensions");
-  }
+  check_raw_size(raw, rows, columns);
   out.resize(rows, columns);
   FloatImage& rgb = out;
 
@@ -113,6 +124,46 @@ void demosaic_into(const std::vector<double>& raw, int rows, int columns,
   for (int r = 1; r + 1 < rows; ++r) {
     rgb.at(r, 0) = demosaic_pixel(raw, rows, columns, r, 0);
     if (columns > 1) rgb.at(r, columns - 1) = demosaic_pixel(raw, rows, columns, r, columns - 1);
+  }
+}
+
+void demosaic_quantize_into(std::span<const double> raw, int rows, int columns,
+                            Frame& out, util::CaptureArena& arena) {
+  check_raw_size(raw, rows, columns);
+  out.resize(rows, columns);
+  const auto width = static_cast<std::size_t>(columns);
+  const auto frame_row = [&](int r) {
+    return std::span<color::Rgb8>(out.pixels).subspan(static_cast<std::size_t>(r) * width,
+                                                      width);
+  };
+  const auto quantize_border_row = [&](int r) {
+    const std::span<color::Rgb8> row = frame_row(r);
+    for (int c = 0; c < columns; ++c) {
+      row[static_cast<std::size_t>(c)] =
+          color::quantize_srgb(demosaic_pixel(raw, rows, columns, r, c));
+    }
+  };
+  quantize_border_row(0);
+  if (rows > 1) quantize_border_row(rows - 1);
+
+  // The kernel writes rows [1, n-1) of an n-row window, so window row 0
+  // is never filled; the interior rows of [first, last) land in rows
+  // [1, last - first + 1).
+  const std::span<util::Vec3> window =
+      arena.allocate<util::Vec3>(static_cast<std::size_t>(kWindowRows + 1) * width);
+  for (int first = 1; first + 1 < rows; first += kWindowRows) {
+    const int last = std::min(first + kWindowRows, rows - 1);
+    if (columns > 2) {
+      simd::demosaic_interior(raw.data() + static_cast<std::size_t>(first - 1) * width,
+                              last - first + 2, columns, &window[0].x);
+    }
+    for (int r = first; r < last; ++r) {
+      const std::span<util::Vec3> row =
+          window.subspan(static_cast<std::size_t>(r - first + 1) * width, width);
+      row[0] = demosaic_pixel(raw, rows, columns, r, 0);
+      if (columns > 1) row[width - 1] = demosaic_pixel(raw, rows, columns, r, columns - 1);
+      color::quantize_srgb_row(row, frame_row(r));
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "colorbars/camera/bayer.hpp"
-#include "colorbars/color/lut.hpp"
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/runtime/thread_pool.hpp"
 #include "colorbars/simd/simd.hpp"
@@ -18,10 +17,7 @@ RollingShutterCamera::RollingShutterCamera(SensorProfile profile,
                                            channel::OpticalChannel optical_channel,
                                            std::uint64_t noise_seed)
     : profile_(std::move(profile)), channel_(std::move(optical_channel)), rng_(noise_seed) {
-  if (profile_.rows <= 0 || profile_.columns <= 0 || profile_.fps <= 0.0 ||
-      profile_.inter_frame_loss_ratio < 0.0 || profile_.inter_frame_loss_ratio >= 1.0) {
-    throw std::invalid_argument("RollingShutterCamera: invalid sensor profile");
-  }
+  profile_.validate();
   ambient_constant_ = channel_.ambient_is_constant();
   ambient_sensor_ = profile_.xyz_to_sensor_rgb * channel_.constant_ambient_xyz();
   vignette_row2_.resize(static_cast<std::size_t>(profile_.rows));
@@ -119,16 +115,17 @@ struct RowBayerValues {
 /// writes the vignetted pre-noise Bayer signal of row r into
 /// out[0..columns) (callers use simd::vignette_signal_span per
 /// constant-response column span). Noise then draws exactly two
-/// rng.normal() per pixel in row-major order, so any path funneled
-/// through here keeps the frozen golden captures byte-identical.
+/// rng.normal() per pixel in row-major order (one fill_normal per row,
+/// which is the same sequence), so any path funneled through here keeps
+/// the frozen golden captures byte-identical.
 template <typename FillSignalRow>
 void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSettings& settings,
                        double start_time_s, int frame_index, FillSignalRow&& fill_signal_row,
                        util::Xoshiro256& rng, Frame& out, RenderScratch& scratch) {
   const SensorProfile& profile = camera.profile();
-  const double row_time = profile.row_time_s();
   const double iso_gain = settings.iso / 100.0;
   const int columns = profile.columns;
+  const auto width = static_cast<std::size_t>(columns);
 
   std::vector<double>& raw = scratch.raw;
   raw.resize(checked_image_size(profile.rows, columns));
@@ -138,39 +135,29 @@ void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSetting
   // aligned (SIMD fast path) and recycled across frames without
   // touching the allocator.
   scratch.arena.reset();
-  const std::span<double> signal_row =
-      scratch.arena.allocate<double>(static_cast<std::size_t>(columns));
-  const std::span<double> sigma_row =
-      scratch.arena.allocate<double>(static_cast<std::size_t>(columns));
+  const std::span<double> signal_row = scratch.arena.allocate<double>(width);
+  const std::span<double> sigma_row = scratch.arena.allocate<double>(width);
+  const std::span<double> normals = scratch.arena.allocate<double>(2 * width);
 
   for (int r = 0; r < profile.rows; ++r) {
     fill_signal_row(r, signal_row.data());
     simd::shot_sigma_row(signal_row.data(), columns, iso_gain, profile.well_capacity,
                          sigma_row.data());
-    double* raw_row = raw.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(columns);
-    for (int c = 0; c < columns; ++c) {
-      const double noisy = signal_row[static_cast<std::size_t>(c)] +
-                           rng.normal() * sigma_row[static_cast<std::size_t>(c)] +
-                           rng.normal() * read_sigma;
+    rng.fill_normal(normals);
+    double* raw_row = raw.data() + static_cast<std::size_t>(r) * width;
+    for (std::size_t c = 0; c < width; ++c) {
+      const double noisy =
+          signal_row[c] + normals[2 * c] * sigma_row[c] + normals[2 * c + 1] * read_sigma;
       raw_row[c] = std::clamp(noisy, 0.0, 1.0);
     }
   }
 
-  demosaic_into(raw, profile.rows, profile.columns, scratch.rgb);
-  const FloatImage& rgb = scratch.rgb;
-
-  out.resize(profile.rows, profile.columns);
   out.start_time_s = start_time_s;
-  out.row_time_s = row_time;
+  out.row_time_s = profile.row_time_s();
   out.exposure_s = settings.exposure_s;
   out.iso = settings.iso;
   out.frame_index = frame_index;
-  for (int r = 0; r < profile.rows; ++r) {
-    for (int c = 0; c < profile.columns; ++c) {
-      // Bit-identical to to_rgb8(srgb_encode(...)) but pow-free.
-      out.at(r, c) = color::quantize_srgb(rgb.at(r, c));
-    }
-  }
+  demosaic_quantize_into(raw, profile.rows, columns, out, scratch.arena);
 }
 
 }  // namespace

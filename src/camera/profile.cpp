@@ -1,5 +1,8 @@
 #include "colorbars/camera/profile.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "colorbars/color/srgb.hpp"
 
 namespace colorbars::camera {
@@ -19,7 +22,37 @@ Mat3 skewed_response(double crosstalk, double green_bias) {
   return leak * color::xyz_to_srgb_matrix();
 }
 
+[[noreturn]] void fail(const char* what) { throw std::invalid_argument(what); }
+
 }  // namespace
+
+void SensorProfile::validate() const {
+  for (const auto& row : xyz_to_sensor_rgb.rows) {
+    for (const double value : row) {
+      if (!std::isfinite(value)) fail("SensorProfile: xyz_to_sensor_rgb must be finite");
+    }
+  }
+  for (const double value :
+       {fps, inter_frame_loss_ratio, read_noise, well_capacity, min_exposure_s,
+        max_exposure_s, min_iso, max_iso, auto_exposure_target, vignette_strength,
+        frame_start_jitter_s, sensitivity}) {
+    if (!std::isfinite(value)) fail("SensorProfile: every field must be finite");
+  }
+  if (rows <= 0 || columns <= 0) fail("SensorProfile: rows and columns must be positive");
+  if (!(fps > 0.0)) fail("SensorProfile: fps must be positive");
+  if (!(inter_frame_loss_ratio >= 0.0) || !(inter_frame_loss_ratio < 1.0)) {
+    fail("SensorProfile: inter_frame_loss_ratio must be in [0, 1)");
+  }
+  if (!(read_noise >= 0.0)) fail("SensorProfile: read_noise must be non-negative");
+  if (!(well_capacity > 0.0)) fail("SensorProfile: well_capacity must be positive");
+  if (!(sensitivity > 0.0)) fail("SensorProfile: sensitivity must be positive");
+  if (!(min_exposure_s > 0.0) || !(min_exposure_s <= max_exposure_s)) {
+    fail("SensorProfile: exposure limits must satisfy 0 < min <= max");
+  }
+  if (!(min_iso > 0.0) || !(min_iso <= max_iso)) {
+    fail("SensorProfile: ISO limits must satisfy 0 < min <= max");
+  }
+}
 
 SensorProfile nexus5_profile() {
   SensorProfile profile;

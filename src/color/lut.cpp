@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "colorbars/color/cie.hpp"
 
@@ -69,12 +71,16 @@ std::uint8_t reference_srgb_code(double linear) noexcept {
 
 // Code-decision boundaries plus a bucket accelerator. boundaries[c] is
 // the smallest double whose reference code is >= c+1, found by bisection
-// (the encode chain is monotone). The 4096-bucket floor table then
-// leaves at most a couple of boundary comparisons per lookup, because
-// the encode slope never exceeds 12.92 (=> < 1 code per bucket).
+// (the encode chain is monotone); boundaries[255] is a +inf sentinel.
+// bucket_floor[k] is the code at k/4096. The encode slope never exceeds
+// 12.92, so there are at most 12.92 * 255 ~ 3295 codes per unit — fewer
+// than the 4096 buckets — and each bucket holds at most one boundary
+// above its floor: one compare finishes every lookup. The constructor
+// checks that invariant, so a table change that breaks it terminates the
+// program at the first lookup instead of silently misquantizing.
 struct QuantTables {
   static constexpr int kBuckets = 4096;
-  std::array<double, 255> boundaries{};
+  std::array<double, 256> boundaries{};
   std::array<std::uint8_t, kBuckets + 1> bucket_floor{};
   QuantTables() {
     for (int code = 0; code < 255; ++code) {
@@ -91,11 +97,22 @@ struct QuantTables {
       }
       boundaries[static_cast<std::size_t>(code)] = hi;
     }
+    boundaries[255] = std::numeric_limits<double>::infinity();
     for (int k = 0; k <= kBuckets; ++k) {
       const double x = static_cast<double>(k) / kBuckets;
-      const auto below = std::upper_bound(boundaries.begin(), boundaries.end(), x);
+      const auto below = std::upper_bound(boundaries.begin(), boundaries.end() - 1, x);
       bucket_floor[static_cast<std::size_t>(k)] =
           static_cast<std::uint8_t>(below - boundaries.begin());
+    }
+    // Bucket k covers [k/4096, (k+1)/4096). boundaries[floor] is the
+    // first boundary above its start; the next one must lie at or past
+    // its end.
+    for (int k = 0; k < kBuckets; ++k) {
+      const std::size_t second = bucket_floor[static_cast<std::size_t>(k)] + 1U;
+      if (second < 255 &&
+          boundaries[second] < static_cast<double>(k + 1) / kBuckets) {
+        throw std::logic_error("QuantTables: a bucket holds two code boundaries");
+      }
     }
   }
 };
@@ -103,6 +120,18 @@ struct QuantTables {
 const QuantTables& quant_tables() noexcept {
   static const QuantTables tables;
   return tables;
+}
+
+/// The single-compare lookup. std::max(0.0, NaN) is 0.0, so NaN takes
+/// code 0 like every non-positive input and the bucket index can never
+/// leave the table. The index converts through int, one instruction on
+/// x86-64 where a size_t conversion needs a range branch (x * 4096 is at
+/// most 4096).
+inline std::uint8_t quantize_code(const QuantTables& tables, double linear) noexcept {
+  const double x = std::min(std::max(0.0, linear), 1.0);
+  const auto bucket = static_cast<std::size_t>(static_cast<int>(x * QuantTables::kBuckets));
+  const std::uint8_t floor = tables.bucket_floor[bucket];
+  return static_cast<std::uint8_t>(floor + (tables.boundaries[floor] <= x ? 1 : 0));
 }
 
 }  // namespace
@@ -155,17 +184,22 @@ Lab rgb8_to_lab_fast(const Rgb8& pixel) noexcept {
 }
 
 std::uint8_t quantize_srgb_channel(double linear) noexcept {
-  const QuantTables& tables = quant_tables();
-  const double x = std::clamp(linear, 0.0, 1.0);
-  const auto bucket = static_cast<std::size_t>(x * QuantTables::kBuckets);
-  std::uint8_t code = tables.bucket_floor[bucket];
-  while (code < 255 && tables.boundaries[code] <= x) ++code;
-  return code;
+  return quantize_code(quant_tables(), linear);
 }
 
 Rgb8 quantize_srgb(const Vec3& linear) noexcept {
-  return {quantize_srgb_channel(linear.x), quantize_srgb_channel(linear.y),
-          quantize_srgb_channel(linear.z)};
+  const QuantTables& tables = quant_tables();
+  return {quantize_code(tables, linear.x), quantize_code(tables, linear.y),
+          quantize_code(tables, linear.z)};
+}
+
+void quantize_srgb_row(std::span<const Vec3> linear, std::span<Rgb8> out) noexcept {
+  const QuantTables& tables = quant_tables();
+  const std::size_t count = std::min(linear.size(), out.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = {quantize_code(tables, linear[i].x), quantize_code(tables, linear[i].y),
+              quantize_code(tables, linear[i].z)};
+  }
 }
 
 }  // namespace colorbars::color

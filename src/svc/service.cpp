@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +94,49 @@ class WorkerSocket {
   std::mutex write_mutex_;
 };
 
+/// The worker's heartbeat side thread. Heartbeats come from a side
+/// thread so the server can tell a worker mid-trial (live heartbeat, no
+/// result yet) from a dead one: a SIGKILLed or segfaulted process stops
+/// heartbeating instantly, while a wedged-but-alive one keeps
+/// heartbeating and is caught by the per-job deadline instead. Between
+/// beats it waits on a condition variable that the destructor notifies,
+/// so a worker told to shut down exits at once instead of sleeping out
+/// its current interval.
+class HeartbeatThread {
+ public:
+  HeartbeatThread(WorkerSocket& socket, int worker, int interval_ms,
+                  const std::atomic<long long>& current_job)
+      : thread_([this, &socket, worker, interval_ms, &current_job] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          while (!wake_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                                 [this] { return stopping_; })) {
+            lock.unlock();
+            HeartbeatMessage beat;
+            beat.worker = worker;
+            beat.job_id = current_job.load(std::memory_order_relaxed);
+            const bool sent = socket.send_payload(encode_heartbeat(beat));
+            lock.lock();
+            if (!sent) return;  // server gone
+          }
+        }) {}
+  ~HeartbeatThread() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool stopping_ = false;  ///< guarded by mutex_
+  std::thread thread_;
+};
+
 /// Executes one job in-process. Kept noexcept-ish by policy: a throwing
 /// trial (which parse-time validation should have prevented) kills the
 /// worker, and the scheduler's retry path owns recovery.
@@ -134,23 +178,8 @@ int worker_main(const char* socket_path) {
   hello.pid = static_cast<long long>(::getpid());
   if (!socket.send_payload(encode_hello(hello))) return 1;
 
-  // Heartbeats come from a side thread so the server can tell a worker
-  // mid-trial (live heartbeat, no result yet) from a dead one: a
-  // SIGKILLed or segfaulted process stops heartbeating instantly, while
-  // a wedged-but-alive one keeps heartbeating and is caught by the
-  // per-job deadline instead.
   std::atomic<long long> current_job{-1};
-  std::atomic<bool> running{true};
-  std::thread heartbeat([&] {
-    while (running.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(heartbeat_ms));
-      if (!running.load(std::memory_order_relaxed)) break;
-      HeartbeatMessage beat;
-      beat.worker = index;
-      beat.job_id = current_job.load(std::memory_order_relaxed);
-      if (!socket.send_payload(encode_heartbeat(beat))) break;  // server gone
-    }
-  });
+  const HeartbeatThread heartbeat(socket, index, heartbeat_ms, current_job);
 
   int status = 0;
   FrameDecoder decoder;
@@ -197,8 +226,6 @@ int worker_main(const char* socket_path) {
     }
   }
 
-  running.store(false, std::memory_order_relaxed);
-  heartbeat.join();
   return status;
 }
 
@@ -678,6 +705,10 @@ class Scheduler {
       }
       if (slot.fd >= 0) ::close(slot.fd);
       slot.fd = -1;
+    }
+    // Reap only after every worker has been told, so their exits overlap.
+    for (WorkerSlot& slot : slots_) {
+      if (slot.pid <= 0) continue;
       int status = 0;
       ::waitpid(slot.pid, &status, 0);
       slot.pid = -1;

@@ -540,6 +540,7 @@ std::optional<core::LinkConfig> link_config_from_json(const Json& json,
   // malformed config is rejected at the protocol boundary instead of
   // throwing deep inside a worker's trial.
   try {
+    config.profile.validate();
     config.channel.validate();
     config.pd.validate();
     config.engine.validate();
@@ -794,6 +795,12 @@ std::optional<adapt::AdaptiveLinkConfig> adaptive_config_from_json(
   config.feedback.loss_probability = reader.number(feedback, "loss_probability");
   config.seed = reader.uint64(json, "seed");
   if (!reader.ok()) return std::nullopt;
+  try {
+    config.profile.validate();
+  } catch (const std::invalid_argument& invalid) {
+    reader.fail(std::string("config validation: ") + invalid.what());
+    return std::nullopt;
+  }
   return config;
 }
 

@@ -39,4 +39,42 @@ double Xoshiro256::normal() noexcept {
   return u * factor;
 }
 
+void Xoshiro256::fill_normal(std::span<double> out) noexcept {
+  std::size_t begin = 0;
+  if (!out.empty() && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[0] = cached_normal_;
+    begin = 1;
+  }
+  // Whole pairs take the batched polar method below; an odd tail takes
+  // one normal() call, which caches its pair's second half exactly as
+  // the call-by-call sequence would.
+  const std::size_t pairs = (out.size() - begin) / 2;
+  double* const pair_out = out.data() + begin;
+
+  // Accept loop: each candidate (u, v) is written to the next free pair
+  // slot and the slot advances only on acceptance, so a rejected
+  // candidate is overwritten instead of costing a mispredicted branch.
+  std::size_t accepted = 0;
+  while (accepted < pairs) {
+    const double u = uniform(-1.0, 1.0);
+    const double v = uniform(-1.0, 1.0);
+    const double s = u * u + v * v;
+    pair_out[2 * accepted] = u;
+    pair_out[2 * accepted + 1] = v;
+    accepted += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+  }
+  // The same s and factor expressions as normal(), so every deviate is
+  // bit-identical to the call-by-call sequence.
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double u = pair_out[2 * k];
+    const double v = pair_out[2 * k + 1];
+    const double s = u * u + v * v;
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    pair_out[2 * k] = u * factor;
+    pair_out[2 * k + 1] = v * factor;
+  }
+  if ((out.size() - begin) % 2 != 0) out.back() = normal();
+}
+
 }  // namespace colorbars::util

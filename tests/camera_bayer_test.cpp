@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "colorbars/color/lut.hpp"
+#include "colorbars/simd/simd.hpp"
 #include "colorbars/util/rng.hpp"
 
 namespace colorbars::camera {
@@ -106,6 +110,47 @@ TEST(Demosaic, HorizontalBandEdgeBleedsAcrossOneRow) {
     if (pixel.x > 0.01 && pixel.y > 0.01) mixing_seen = true;
   }
   EXPECT_TRUE(mixing_seen);
+}
+
+TEST(Demosaic, FusedQuantizeMatchesQuantizedDemosaic) {
+  // The render demosaics a few rows at a time and quantizes straight
+  // into the frame; it must reproduce quantize_srgb(demosaic(raw)) byte
+  // for byte. Odd and even row counts, windows cut short at the bottom,
+  // and border-only images (1-3 rows or columns) on every backend.
+  const std::pair<int, int> shapes[] = {
+      {1, 1},  {1, 5},   {2, 2},  {2, 7},  {3, 1},  {3, 2},   {3, 3},   {5, 2},
+      {4, 9},  {9, 4},   {10, 3}, {10, 6}, {11, 64}, {17, 33}, {18, 8}, {33, 65},
+      {96, 33}, {2448, 64}};
+  util::Xoshiro256 rng(0xf05e);
+  util::CaptureArena arena;
+  Frame frame;
+  const simd::Backend saved = simd::active_backend();
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2,
+        simd::Backend::kNeon}) {
+    if (!simd::backend_supported(backend)) continue;
+    ASSERT_TRUE(simd::set_backend(backend));
+    for (const auto& [rows, columns] : shapes) {
+      std::vector<double> raw(static_cast<std::size_t>(rows) * columns);
+      for (double& value : raw) value = rng.uniform();
+      const FloatImage reference = demosaic(raw, rows, columns);
+      arena.reset();
+      demosaic_quantize_into(raw, rows, columns, frame, arena);
+      ASSERT_EQ(frame.rows, rows);
+      ASSERT_EQ(frame.columns, columns);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < columns; ++c) {
+          ASSERT_EQ(frame.at(r, c), color::quantize_srgb(reference.at(r, c)))
+              << rows << "x" << columns << " at (" << r << ", " << c << ") on "
+              << simd::backend_name(backend);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(simd::set_backend(saved));
+  const std::vector<double> short_raw(5, 0.0);
+  EXPECT_THROW(demosaic_quantize_into(short_raw, 2, 2, frame, arena),
+               std::invalid_argument);
 }
 
 TEST(FloatImage, BoundsChecking) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "colorbars/camera/camera.hpp"
+
 namespace colorbars::camera {
 namespace {
 
@@ -42,6 +48,44 @@ TEST(Profiles, TimingDecomposesFramePeriod) {
         << profile.name;
     EXPECT_NEAR(profile.row_time_s() * profile.rows, profile.readout_duration_s(), 1e-12);
   }
+}
+
+TEST(Profiles, BuiltInProfilesValidate) {
+  for (const SensorProfile& profile :
+       {nexus5_profile(), iphone5s_profile(), ideal_profile(), SensorProfile{}}) {
+    EXPECT_NO_THROW(profile.validate()) << profile.name;
+  }
+}
+
+TEST(Profiles, ValidateRejectsImpossibleProfiles) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_invalid = [](auto mutate, const char* what) {
+    SensorProfile profile = nexus5_profile();
+    mutate(profile);
+    EXPECT_THROW(profile.validate(), std::invalid_argument) << what;
+    // The camera refuses it too, instead of rendering NaN noise.
+    EXPECT_THROW((void)RollingShutterCamera(profile), std::invalid_argument) << what;
+  };
+  expect_invalid([](SensorProfile& p) { p.well_capacity = -1.0; }, "negative well");
+  expect_invalid([](SensorProfile& p) { p.well_capacity = 0.0; }, "zero well");
+  expect_invalid([](SensorProfile& p) { p.sensitivity = 0.0; }, "zero sensitivity");
+  expect_invalid([](SensorProfile& p) { p.read_noise = -0.001; }, "negative read noise");
+  expect_invalid([](SensorProfile& p) { p.rows = 0; }, "zero rows");
+  expect_invalid([](SensorProfile& p) { p.columns = -3; }, "negative columns");
+  expect_invalid([](SensorProfile& p) { p.fps = 0.0; }, "zero fps");
+  expect_invalid([](SensorProfile& p) { p.inter_frame_loss_ratio = 1.0; }, "loss 1");
+  expect_invalid([](SensorProfile& p) { p.inter_frame_loss_ratio = -0.1; }, "loss < 0");
+  expect_invalid([](SensorProfile& p) { p.min_iso = 6400.0; }, "min iso > max iso");
+  expect_invalid([](SensorProfile& p) { p.min_iso = 0.0; }, "zero min iso");
+  expect_invalid([](SensorProfile& p) { p.min_exposure_s = 0.1; }, "min exposure > max");
+  expect_invalid([](SensorProfile& p) { p.min_exposure_s = 0.0; }, "zero min exposure");
+  expect_invalid([nan](SensorProfile& p) { p.fps = nan; }, "NaN fps");
+  expect_invalid([nan](SensorProfile& p) { p.max_iso = nan; }, "NaN max iso");
+  expect_invalid([inf](SensorProfile& p) { p.max_exposure_s = inf; }, "infinite exposure");
+  expect_invalid([nan](SensorProfile& p) { p.vignette_strength = nan; }, "NaN vignette");
+  expect_invalid([inf](SensorProfile& p) { p.xyz_to_sensor_rgb.rows[1][2] = inf; },
+                 "infinite response");
 }
 
 TEST(Profiles, BandRowsMatchesHandComputation) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "colorbars/util/rng.hpp"
 
@@ -103,6 +105,63 @@ TEST(QuantizeSrgb, MatchesEncodeChainExactly) {
   EXPECT_EQ(fused.r, chained.r);
   EXPECT_EQ(fused.g, chained.g);
   EXPECT_EQ(fused.b, chained.b);
+}
+
+TEST(QuantizeSrgb, SingleCompareAndRowMatchTheEncodeChainAtEveryDecisionBoundary) {
+  // The quantizer resolves each lookup with one compare against the
+  // boundary above its bucket's floor; probe exactly where that compare
+  // flips — on, and one ulp either side of, each of the 255 decision
+  // boundaries of the pow-based reference chain — plus both ends and a
+  // random sweep.
+  auto reference = [](double v) { return to_rgb8(srgb_encode(Vec3{v, v, v})).r; };
+  std::vector<double> probes = {0.0, -0.0, 1.0, -1.0, 2.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  for (int code = 0; code < 255; ++code) {
+    double lo = 0.0;
+    double hi = 1.0;
+    for (;;) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      (reference(mid) >= code + 1 ? hi : lo) = mid;
+    }
+    ASSERT_EQ(reference(std::nextafter(hi, 0.0)), code);
+    ASSERT_EQ(reference(hi), code + 1);
+    probes.insert(probes.end(), {std::nextafter(hi, 0.0), hi, std::nextafter(hi, 1.0)});
+  }
+  util::Xoshiro256 rng(0x9a7);
+  for (int i = 0; i < 100000; ++i) probes.push_back(rng.uniform(-0.1, 1.1));
+
+  for (const double v : probes) {
+    ASSERT_EQ(quantize_srgb_channel(v), reference(v)) << "v=" << v;
+  }
+  // The row form, with each probe visiting every channel position.
+  std::vector<Vec3> linear;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    linear.push_back({probes[i], probes[(i + 1) % probes.size()],
+                      probes[(i + 2) % probes.size()]});
+  }
+  std::vector<Rgb8> row(linear.size());
+  quantize_srgb_row(linear, row);
+  for (std::size_t i = 0; i < linear.size(); ++i) {
+    ASSERT_EQ(row[i].r, quantize_srgb_channel(linear[i].x)) << "pixel " << i;
+    ASSERT_EQ(row[i].g, quantize_srgb_channel(linear[i].y)) << "pixel " << i;
+    ASSERT_EQ(row[i].b, quantize_srgb_channel(linear[i].z)) << "pixel " << i;
+    ASSERT_EQ(row[i], quantize_srgb(linear[i])) << "pixel " << i;
+  }
+}
+
+TEST(QuantizeSrgb, NanMapsToCodeZero) {
+  // A NaN sample (e.g. the noise sigma of an impossible sensor profile)
+  // must not index outside the bucket table.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(quantize_srgb_channel(nan), 0);
+  EXPECT_EQ(quantize_srgb(Vec3{nan, 0.5, nan}), (Rgb8{0, quantize_srgb_channel(0.5), 0}));
+  const std::vector<Vec3> linear = {{nan, nan, nan}, {1.0, nan, 0.0}};
+  std::vector<Rgb8> row(linear.size());
+  quantize_srgb_row(linear, row);
+  EXPECT_EQ(row[0], (Rgb8{0, 0, 0}));
+  EXPECT_EQ(row[1], (Rgb8{255, 0, 0}));
 }
 
 TEST(Rgb8ToLabFast, PrimariesLandOnKnownLabRegions) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -166,6 +167,29 @@ TEST(Svc, CrashedWorkerIsRespawnedAndResultsStayByteIdentical) {
   EXPECT_GE(stats.retries, 1);
   EXPECT_GE(stats.respawns, 1);
   EXPECT_EQ(stats.jobs_completed, 6);
+}
+
+TEST(Svc, SweepTeardownDoesNotWaitForHeartbeat) {
+  // A worker told to shut down must exit at once, not after its
+  // heartbeat thread sleeps out the interval; and teardown must not
+  // reap workers one at a time. With a 30 s heartbeat, a sweep that
+  // waited for either would take at least 30 s; 10 s is the margin
+  // that still holds under the sanitizers.
+  SweepSpec spec = small_spec();
+  spec.points.resize(1);
+  spec.points[0].trials = 4;
+  ServiceConfig config;
+  config.workers = 4;
+  config.heartbeat_interval_s = 30.0;
+  config.liveness_timeout_s = 120.0;
+  SvcStats stats;
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<PointResult> results = run_sweep(spec, config, &stats);
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(stats.jobs_completed, 4);
+  EXPECT_EQ(fingerprint(spec, results), fingerprint(spec, run_sweep_sequential(spec)));
+  EXPECT_LT(elapsed_s, 10.0);
 }
 
 TEST(Svc, AdaptiveBatchMatchesInProcessSimulation) {

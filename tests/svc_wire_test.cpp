@@ -255,6 +255,23 @@ TEST(SvcWire, LinkConfigParseRejectsBadInput) {
     EXPECT_FALSE(link_config_from_json(broken, &error).has_value());
     EXPECT_NE(error.find("validation"), std::string::npos);
   }
+  // An impossible sensor profile: a negative well capacity would make
+  // the worker's shot-noise sigma NaN.
+  {
+    Json broken = Json::parse(good.dump());
+    Json profile = broken["profile"];
+    profile.set("well_capacity", Json::number(-1.0));
+    broken.set("profile", std::move(profile));
+    error.clear();
+    EXPECT_FALSE(link_config_from_json(broken, &error).has_value());
+    EXPECT_NE(error.find("well_capacity"), std::string::npos) << error;
+    // An adaptive job carries its own profile across the same boundary.
+    Json adaptive = adaptive_config_to_json(adapt::AdaptiveLinkConfig{});
+    adaptive.set("profile", broken["profile"]);
+    error.clear();
+    EXPECT_FALSE(adaptive_config_from_json(adaptive, &error).has_value());
+    EXPECT_NE(error.find("well_capacity"), std::string::npos) << error;
+  }
   // Not an object at all.
   EXPECT_FALSE(link_config_from_json(Json::integer(3), &error).has_value());
 }
