@@ -23,6 +23,7 @@
 #include "colorbars/pipeline/buffer_pool.hpp"
 #include "colorbars/protocol/symbols.hpp"
 #include "colorbars/rs/reed_solomon.hpp"
+#include "colorbars/runtime/thread_pool.hpp"
 #include "colorbars/rx/band_extractor.hpp"
 #include "colorbars/simd/simd.hpp"
 #include "colorbars/util/rng.hpp"
@@ -158,6 +159,21 @@ camera::Frame captured_frame() {
   return camera.capture_frame(trace, 0.01);
 }
 
+// The frame benches fan a frame's rows out over the shared pool at its
+// default size; their "/one_thread" variants shrink the pool to one
+// thread for the run and restore it after, which is how both perfbench
+// workloads decode a frame.
+unsigned saved_thread_count = 0;
+
+void pin_one_thread(const benchmark::State&) {
+  saved_thread_count = runtime::ThreadPool::shared().thread_count();
+  runtime::ThreadPool::set_shared_thread_count(1);
+}
+
+void restore_thread_count(const benchmark::State&) {
+  runtime::ThreadPool::set_shared_thread_count(saved_thread_count);
+}
+
 void BM_FrameReduceToScanlines(benchmark::State& state) {
   const camera::Frame frame = captured_frame();
   for (auto _ : state) {
@@ -166,6 +182,10 @@ void BM_FrameReduceToScanlines(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * frame.rows * frame.columns);
 }
 BENCHMARK(BM_FrameReduceToScanlines);
+BENCHMARK(BM_FrameReduceToScanlines)
+    ->Name("BM_FrameReduceToScanlines/one_thread")
+    ->Setup(pin_one_thread)
+    ->Teardown(restore_thread_count);
 
 void BM_FrameExtractSlots(benchmark::State& state) {
   const camera::Frame frame = captured_frame();
@@ -177,6 +197,10 @@ void BM_FrameExtractSlots(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FrameExtractSlots);
+BENCHMARK(BM_FrameExtractSlots)
+    ->Name("BM_FrameExtractSlots/one_thread")
+    ->Setup(pin_one_thread)
+    ->Teardown(restore_thread_count);
 
 void BM_CameraCaptureFrame(benchmark::State& state) {
   const csk::Constellation constellation(csk::CskOrder::kCsk8);
@@ -307,10 +331,12 @@ BENCHMARK(BM_SimdDeltaE);
 // --compare mode (or COLORBARS_BENCH_COMPARE=1): pin each supported
 // simd backend in turn and rerun the four dispatched kernels in this
 // same process, so scalar-vs-vector numbers land side by side in one
-// BENCH_micro.json under names like "BM_FrameReduceToScanlines/avx2".
+// BENCH_micro.json under names like "BM_FrameReduceToScanlines/avx2"
+// (and "BM_FrameReduceToScanlines/one_thread/avx2").
 template <typename Body>
-void register_compare(const char* name, simd::Backend backend, Body body) {
-  benchmark::RegisterBenchmark(
+benchmark::internal::Benchmark* register_compare(const char* name, simd::Backend backend,
+                                                 Body body) {
+  return benchmark::RegisterBenchmark(
       (std::string(name) + "/" + simd::backend_name(backend)).c_str(),
       [backend, body](benchmark::State& state) {
         const simd::Backend saved = simd::active_backend();
@@ -326,13 +352,11 @@ void register_compare_benchmarks() {
         simd::Backend::kNeon}) {
     if (!simd::backend_supported(backend)) continue;
 
-    register_compare("BM_FrameReduceToScanlines", backend, [](benchmark::State& state) {
-      const camera::Frame frame = captured_frame();
-      for (auto _ : state) {
-        benchmark::DoNotOptimize(rx::reduce_to_scanlines(frame));
-      }
-      state.SetItemsProcessed(state.iterations() * frame.rows * frame.columns);
-    });
+    register_compare("BM_FrameReduceToScanlines", backend, BM_FrameReduceToScanlines);
+    register_compare("BM_FrameReduceToScanlines/one_thread", backend,
+                     BM_FrameReduceToScanlines)
+        ->Setup(pin_one_thread)
+        ->Teardown(restore_thread_count);
 
     register_compare("BM_BayerDemosaic", backend, [](benchmark::State& state) {
       // demosaic_into with a reused output, like the pipeline's pooled

@@ -59,7 +59,8 @@ class RoiTracker {
 
   /// Pure detection pass over one frame (exposed for tests): the
   /// rectangles of every chroma-variance blob, left to right. An empty
-  /// frame yields no detections.
+  /// frame yields no detections. Throws std::invalid_argument on a
+  /// config the constructor would refuse.
   [[nodiscard]] static std::vector<camera::SensorRegion> detect(
       const camera::Frame& frame, const RoiTrackerConfig& config);
 

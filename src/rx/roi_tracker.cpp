@@ -4,20 +4,20 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "colorbars/color/lut.hpp"
 #include "colorbars/runtime/thread_pool.hpp"
+#include "colorbars/simd/simd.hpp"
 
 namespace colorbars::rx {
 
-RoiTracker::RoiTracker(RoiTrackerConfig config) : config_(config) {
+namespace {
+
+void validate(const RoiTrackerConfig& config) {
   if (config.cell_rows <= 0 || config.cell_columns <= 0 ||
       config.retire_after_frames <= 0 || !(config.min_active_fraction > 0.0) ||
       !(config.min_active_fraction <= 1.0)) {
     throw std::invalid_argument("RoiTracker: invalid config");
   }
 }
-
-namespace {
 
 /// Row-level Lab means per grid column: the downsampled plane detection
 /// works on. Laid out row-major, rows x grid_columns.
@@ -36,28 +36,22 @@ RowMeans reduce_rows(const camera::Frame& frame, int cell_columns, int grid_colu
   means.b.resize(size);
   // Rows are independent; fan out like reduce_to_scanlines. Output is
   // per (row, grid column), hence deterministic at any thread count.
+  // Each cell's sums come from the scanline reduction's kernel: the
+  // fast Lab chain, added in pixel order from 0.0.
   runtime::parallel_for(0, frame.rows, 64, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t r = lo; r < hi; ++r) {
       for (int g = 0; g < grid_columns; ++g) {
         const int begin = g * cell_columns;
         const int end = std::min(begin + cell_columns, frame.columns);
-        double sum_l = 0.0;
-        double sum_a = 0.0;
-        double sum_b = 0.0;
-        for (int c = begin; c < end; ++c) {
-          const color::Lab lab =
-              color::rgb8_to_lab_fast(frame.at(static_cast<int>(r), c));
-          sum_l += lab.L;
-          sum_a += lab.a;
-          sum_b += lab.b;
-        }
+        simd::RowSums sums;
+        simd::row_lab_rgb_sums(&frame.at(static_cast<int>(r), begin), end - begin, sums);
         const double inv = 1.0 / (end - begin);
         const std::size_t index =
             static_cast<std::size_t>(r) * static_cast<std::size_t>(grid_columns) +
             static_cast<std::size_t>(g);
-        means.l[index] = sum_l * inv;
-        means.a[index] = sum_a * inv;
-        means.b[index] = sum_b * inv;
+        means.l[index] = sums.l * inv;
+        means.a[index] = sums.a * inv;
+        means.b[index] = sums.b * inv;
       }
     }
   });
@@ -66,13 +60,18 @@ RowMeans reduce_rows(const camera::Frame& frame, int cell_columns, int grid_colu
 
 }  // namespace
 
+RoiTracker::RoiTracker(RoiTrackerConfig config) : config_(config) { validate(config_); }
+
 std::vector<camera::SensorRegion> RoiTracker::detect(const camera::Frame& frame,
                                                      const RoiTrackerConfig& config) {
+  validate(config);
   std::vector<camera::SensorRegion> regions;
   if (frame.rows <= 0 || frame.columns <= 0) return regions;
 
-  const int grid_columns = (frame.columns + config.cell_columns - 1) / config.cell_columns;
-  const int grid_rows = (frame.rows + config.cell_rows - 1) / config.cell_rows;
+  // Rounded up without forming n + cell - 1, which overflows int for a
+  // cell size near INT_MAX.
+  const int grid_columns = 1 + (frame.columns - 1) / config.cell_columns;
+  const int grid_rows = 1 + (frame.rows - 1) / config.cell_rows;
   const RowMeans means = reduce_rows(frame, config.cell_columns, grid_columns);
 
   // Cell activity: lit AND chroma-flickering. The lightness gate drops

@@ -1,9 +1,9 @@
 #pragma once
 
 // Internal plumbing of colorbars::simd: the per-backend kernel tables
-// the dispatcher selects between, the SoA copies of the color LUTs the
-// gather kernels read, and the scalar reference loops every backend
-// reuses as prologue/epilogue.
+// the dispatcher selects between, the color LUTs laid out for the Lab
+// row reduction, and the scalar reference loops every backend reuses as
+// prologue/epilogue.
 //
 // The scalar helpers are defined in an anonymous namespace on purpose:
 // each backend TU is compiled with its own ISA flags, and internal
@@ -39,20 +39,24 @@ extern const KernelTable kAvx2Kernels;
 extern const KernelTable kNeonKernels;
 #endif
 
-/// Structure-of-arrays copies of the color LUTs, laid out for vector
-/// gathers: contrib[channel][component][code] and encode[code]
-/// (= code/255.0, the exact from_rgb8 value). The doubles are copied
-/// bit-for-bit from the scalar tables, so gathering from here is
-/// byte-identical to indexing the originals.
-struct LutSoA {
-  alignas(64) double contrib[3][3][256];
-  alignas(64) double encode[256];
-  /// One-past-the-end pad so a lerp gather of values[index + 1] at the
-  /// clamped top index stays in bounds.
+/// The color LUTs in the layout the Lab row reduction reads: one
+/// 32-byte row per (channel, code), {X/Xn, Y/Yn, Z/Zn contribution,
+/// code/255.0}. A pixel's three rows added lane-wise give its
+/// white-normalized XYZ in lanes 0-2, and lane 3 of each row is the
+/// exact from_rgb8 value of that channel. The doubles are copied
+/// bit-for-bit from the scalar tables (lane 3 is from_rgb8's own
+/// division), so reading here is byte-identical to indexing the
+/// originals.
+struct LabLut {
+  alignas(64) double rows[3][256][4];
+  /// The lab_f samples plus a pad copy of the top one: a lerp at the
+  /// top index reads values[index + 1] in bounds, and since the
+  /// difference and the fraction there are both 0 it returns the top
+  /// sample exactly, as lab_f_fast does for t == 1.
   alignas(64) double lab_f[color::kLabFTableSamples + 1];
 };
 
-const LutSoA& lut_soa() noexcept;
+const LabLut& lab_lut() noexcept;
 
 namespace {
 
@@ -114,22 +118,40 @@ namespace {
   }
 }
 
-/// Scalar reference of the scanline reduction inner loop — verbatim the
-/// body of reduce_to_scanlines (fast Lab chain + from_rgb8), pixel
-/// order preserved.
+/// color::lab_f_fast on the padded table, with its operations in its
+/// order: the exact cube-root fallback outside [0, 1], else the lerp
+/// (t == 1 lands on the pad, see LabLut).
+[[maybe_unused]] inline double lab_f_lerp(double t, const double* values) {
+  if (t < 0.0 || t > 1.0) return color::lab_f_fast(t);
+  const double scaled = t * (color::kLabFTableSamples - 1);
+  const int index = static_cast<int>(scaled);
+  return values[index] + (values[index + 1] - values[index]) * (scaled - index);
+}
+
+/// Scalar reference of the scanline reduction inner loop: per pixel,
+/// rgb8_to_lab_fast and from_rgb8 read from the code rows, with the same
+/// operations in the same order, pixels in order.
 [[maybe_unused]] void row_lab_rgb_sums_segment(const color::Rgb8* pixels, int count,
                                                RowSums& sums) {
+  const LabLut& lut = lab_lut();
+  // Local accumulators: sums may alias the table for all the compiler
+  // knows, which would force a store and reload per pixel.
+  RowSums acc = sums;
   for (int i = 0; i < count; ++i) {
-    const color::Rgb8& pixel = pixels[i];
-    const color::Lab lab = color::rgb8_to_lab_fast(pixel);
-    sums.l += lab.L;
-    sums.a += lab.a;
-    sums.b += lab.b;
-    const util::Vec3 rgb = color::from_rgb8(pixel);
-    sums.r += rgb.x;
-    sums.g += rgb.y;
-    sums.bb += rgb.z;
+    const double* red = lut.rows[0][pixels[i].r];
+    const double* green = lut.rows[1][pixels[i].g];
+    const double* blue = lut.rows[2][pixels[i].b];
+    const double fx = lab_f_lerp(red[0] + green[0] + blue[0], lut.lab_f);
+    const double fy = lab_f_lerp(red[1] + green[1] + blue[1], lut.lab_f);
+    const double fz = lab_f_lerp(red[2] + green[2] + blue[2], lut.lab_f);
+    acc.l += 116.0 * fy - 16.0;
+    acc.a += 500.0 * (fx - fy);
+    acc.b += 200.0 * (fy - fz);
+    acc.r += red[3];
+    acc.g += green[3];
+    acc.bb += blue[3];
   }
+  sums = acc;
 }
 
 /// Scalar reference of the vignette row fill — verbatim

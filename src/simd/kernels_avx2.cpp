@@ -3,11 +3,11 @@
 // a*b+c staying a rounded multiply followed by a rounded add, and the
 // compiler cannot contract what the ISA it was given cannot encode.
 // Every kernel mirrors the scalar reference's per-element operation
-// order exactly (lanes are pixels for the pointwise maps; reductions
-// accumulate per-pixel vectors in pixel order), and falls back to the
-// scalar segment helpers for the sub-width head/tail of any range, so
-// odd widths and unaligned column starts are handled without masked or
-// aligned loads.
+// order exactly. In the pointwise maps a lane is a pixel, and they fall
+// back to the scalar segment helpers for the sub-width head/tail of any
+// range, so odd widths and unaligned column starts are handled without
+// masked or aligned loads. In the Lab row reduction a lane is one
+// component of one pixel, so it has no tail at all.
 
 #include <immintrin.h>
 
@@ -95,123 +95,79 @@ void demosaic_interior_avx2(const double* raw, int rows, int columns, double* rg
   }
 }
 
-/// Vector lab_f_fast over 4 lanes: gathered linear interpolation from
-/// the shared table, with the scalar chain's exact index truncation,
-/// top-sample clamp, and out-of-[0,1] fallback (fixed up lane-wise
-/// through color::lab_f_fast itself).
-__m256d lab_f_fast_4(__m256d t, const double* values) {
+void row_lab_rgb_sums_avx2(const color::Rgb8* pixels, int count, RowSums& sums) {
+  const LabLut& lut = lab_lut();
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d scale = _mm256_set1_pd(static_cast<double>(color::kLabFTableSamples - 1));
-  const __m256d in_range = _mm256_and_pd(_mm256_cmp_pd(t, zero, _CMP_GE_OQ),
-                                         _mm256_cmp_pd(t, one, _CMP_LE_OQ));
-  const __m256d scaled = _mm256_mul_pd(t, scale);
-  const __m128i index = _mm256_cvttpd_epi32(scaled);
-  // Clamp for the gathers only; lanes at the top sample or out of range
-  // are overridden below, so the clamped lerp they compute is discarded.
-  __m128i idx = _mm_max_epi32(index, _mm_setzero_si128());
-  idx = _mm_min_epi32(idx, _mm_set1_epi32(color::kLabFTableSamples - 2));
-  const __m256d v0 = _mm256_i32gather_pd(values, idx, 8);
-  const __m256d v1 = _mm256_i32gather_pd(values, _mm_add_epi32(idx, _mm_set1_epi32(1)), 8);
-  const __m256d fraction = _mm256_sub_pd(scaled, _mm256_cvtepi32_pd(idx));
-  __m256d result =
-      _mm256_add_pd(v0, _mm256_mul_pd(_mm256_sub_pd(v1, v0), fraction));
-  // index >= samples-1 (only t == 1.0 among in-range inputs) returns the
-  // top sample, exactly like the scalar chain.
-  const __m256d top_mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
-      _mm_cmpgt_epi32(index, _mm_set1_epi32(color::kLabFTableSamples - 2))));
-  result = _mm256_blendv_pd(result, _mm256_set1_pd(values[color::kLabFTableSamples - 1]),
-                            top_mask);
-  const int out_of_range = _mm256_movemask_pd(in_range) ^ 0xF;
-  if (out_of_range != 0) {
-    alignas(32) double tv[4];
-    alignas(32) double rv[4];
-    _mm256_store_pd(tv, t);
-    _mm256_store_pd(rv, result);
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((out_of_range & (1 << lane)) != 0) rv[lane] = color::lab_f_fast(tv[lane]);
+  const __m128i top = _mm_set1_epi32(color::kLabFTableSamples - 1);
+  const __m256d factor = _mm256_set_pd(0.0, 200.0, 500.0, 116.0);
+  const __m256d offset = _mm256_set_pd(0.0, 0.0, 0.0, 16.0);
+  // acc_lab holds (L, a, b, -). acc_red/green/blue add up whole code
+  // rows; only their lane 3, the encoded channel, is read back. Each
+  // is one in-order chain per component, like the scalar loop's.
+  __m256d acc_lab = _mm256_set_pd(0.0, sums.b, sums.a, sums.l);
+  __m256d acc_red = _mm256_set_pd(sums.r, 0.0, 0.0, 0.0);
+  __m256d acc_green = _mm256_set_pd(sums.g, 0.0, 0.0, 0.0);
+  __m256d acc_blue = _mm256_set_pd(sums.bb, 0.0, 0.0, 0.0);
+  for (int i = 0; i < count; ++i) {
+    const __m256d red = _mm256_load_pd(lut.rows[0][pixels[i].r]);
+    const __m256d green = _mm256_load_pd(lut.rows[1][pixels[i].g]);
+    const __m256d blue = _mm256_load_pd(lut.rows[2][pixels[i].b]);
+    acc_red = _mm256_add_pd(acc_red, red);
+    acc_green = _mm256_add_pd(acc_green, green);
+    acc_blue = _mm256_add_pd(acc_blue, blue);
+
+    // Lanes 0-2: X/Xn, Y/Yn, Z/Zn in the scalar (red + green) + blue
+    // order. Lane 3 sums the three codes and is ignored from here on.
+    const __m256d t = _mm256_add_pd(_mm256_add_pd(red, green), blue);
+    // lab_f_fast per lane: the lerp with the scalar index truncation.
+    // The clamp only keeps the gathers in the table for lane 3 and for
+    // out-of-range lanes, whose lerp is discarded; in range it is a
+    // no-op, and t == 1 lands on the pad (see LabLut).
+    const __m256d scaled = _mm256_mul_pd(t, scale);
+    const __m128i index = _mm_min_epi32(
+        _mm_max_epi32(_mm256_cvttpd_epi32(scaled), _mm_setzero_si128()), top);
+    const __m256d v0 = _mm256_i32gather_pd(lut.lab_f, index, 8);
+    const __m256d v1 = _mm256_i32gather_pd(lut.lab_f + 1, index, 8);
+    const __m256d fraction = _mm256_sub_pd(scaled, _mm256_cvtepi32_pd(index));
+    __m256d f = _mm256_add_pd(v0, _mm256_mul_pd(_mm256_sub_pd(v1, v0), fraction));
+    const __m256d in_range = _mm256_and_pd(_mm256_cmp_pd(t, zero, _CMP_GE_OQ),
+                                           _mm256_cmp_pd(t, one, _CMP_LE_OQ));
+    if ((_mm256_movemask_pd(in_range) & 0b0111) != 0b0111) {
+      // Outside [0, 1] lab_f_fast takes the exact cube root; only pure
+      // white does (its X sum is 1.0000000000000002).
+      alignas(32) double tv[4];
+      alignas(32) double fv[4];
+      _mm256_store_pd(tv, t);
+      _mm256_store_pd(fv, f);
+      for (int lane = 0; lane < 3; ++lane) fv[lane] = lab_f_lerp(tv[lane], lut.lab_f);
+      f = _mm256_load_pd(fv);
     }
-    result = _mm256_load_pd(rv);
+
+    // (L, a, b) = (116 fy - 16, 500 (fx - fy), 200 (fy - fz)) as
+    // (116, 500, 200) * ((fy, fx, fy) - (0, fy, fz)) - (16, 0, 0): the
+    // zero terms are exact, so every lane runs the scalar operations.
+    const __m256d minuend = _mm256_permute4x64_pd(f, 0b11'01'00'01);  // fy fx fy -
+    const __m256d subtrahend = _mm256_blend_pd(zero, f, 0b0110);      // 0  fy fz 0
+    acc_lab = _mm256_add_pd(
+        acc_lab,
+        _mm256_sub_pd(_mm256_mul_pd(factor, _mm256_sub_pd(minuend, subtrahend)), offset));
   }
-  return result;
-}
-
-void row_lab_rgb_sums_avx2(const color::Rgb8* pixels, int count, RowSums& sums) {
-  const LutSoA& lut = lut_soa();
-  // Accumulator lanes [L, a, b, r] and [g, b8]: adding one pixel's
-  // vector at a time keeps every component's additions in pixel order —
-  // the same dependency chain the scalar loop runs.
-  __m256d acc_labr = _mm256_set_pd(sums.r, sums.b, sums.a, sums.l);
-  __m128d acc_gb = _mm_set_pd(sums.bb, sums.g);
-  const __m256d c116 = _mm256_set1_pd(116.0);
-  const __m256d c16 = _mm256_set1_pd(16.0);
-  const __m256d c500 = _mm256_set1_pd(500.0);
-  const __m256d c200 = _mm256_set1_pd(200.0);
-  int i = 0;
-  for (; i + 3 < count; i += 4) {
-    const color::Rgb8 p0 = pixels[i];
-    const color::Rgb8 p1 = pixels[i + 1];
-    const color::Rgb8 p2 = pixels[i + 2];
-    const color::Rgb8 p3 = pixels[i + 3];
-    const __m128i ri = _mm_set_epi32(p3.r, p2.r, p1.r, p0.r);
-    const __m128i gi = _mm_set_epi32(p3.g, p2.g, p1.g, p0.g);
-    const __m128i bi = _mm_set_epi32(p3.b, p2.b, p1.b, p0.b);
-
-    // ratio = contrib[0][r] + contrib[1][g] + contrib[2][b], the scalar
-    // chain's (red + green) + blue order per XYZ component.
-    const __m256d rx = _mm256_add_pd(
-        _mm256_add_pd(_mm256_i32gather_pd(lut.contrib[0][0], ri, 8),
-                      _mm256_i32gather_pd(lut.contrib[1][0], gi, 8)),
-        _mm256_i32gather_pd(lut.contrib[2][0], bi, 8));
-    const __m256d ry = _mm256_add_pd(
-        _mm256_add_pd(_mm256_i32gather_pd(lut.contrib[0][1], ri, 8),
-                      _mm256_i32gather_pd(lut.contrib[1][1], gi, 8)),
-        _mm256_i32gather_pd(lut.contrib[2][1], bi, 8));
-    const __m256d rz = _mm256_add_pd(
-        _mm256_add_pd(_mm256_i32gather_pd(lut.contrib[0][2], ri, 8),
-                      _mm256_i32gather_pd(lut.contrib[1][2], gi, 8)),
-        _mm256_i32gather_pd(lut.contrib[2][2], bi, 8));
-
-    const __m256d fx = lab_f_fast_4(rx, lut.lab_f);
-    const __m256d fy = lab_f_fast_4(ry, lut.lab_f);
-    const __m256d fz = lab_f_fast_4(rz, lut.lab_f);
-    const __m256d labL = _mm256_sub_pd(_mm256_mul_pd(c116, fy), c16);
-    const __m256d labA = _mm256_mul_pd(c500, _mm256_sub_pd(fx, fy));
-    const __m256d labB = _mm256_mul_pd(c200, _mm256_sub_pd(fy, fz));
-
-    const __m256d encR = _mm256_i32gather_pd(lut.encode, ri, 8);
-    const __m256d encG = _mm256_i32gather_pd(lut.encode, gi, 8);
-    const __m256d encB = _mm256_i32gather_pd(lut.encode, bi, 8);
-
-    // Transpose (L, a, b, r) to per-pixel vectors and accumulate in
-    // pixel order.
-    const __m256d t0 = _mm256_unpacklo_pd(labL, labA);  // L0 a0 | L2 a2
-    const __m256d t1 = _mm256_unpackhi_pd(labL, labA);  // L1 a1 | L3 a3
-    const __m256d t2 = _mm256_unpacklo_pd(labB, encR);  // b0 r0 | b2 r2
-    const __m256d t3 = _mm256_unpackhi_pd(labB, encR);  // b1 r1 | b3 r3
-    acc_labr = _mm256_add_pd(acc_labr, _mm256_permute2f128_pd(t0, t2, 0x20));
-    acc_labr = _mm256_add_pd(acc_labr, _mm256_permute2f128_pd(t1, t3, 0x20));
-    acc_labr = _mm256_add_pd(acc_labr, _mm256_permute2f128_pd(t0, t2, 0x31));
-    acc_labr = _mm256_add_pd(acc_labr, _mm256_permute2f128_pd(t1, t3, 0x31));
-
-    const __m256d gb_lo = _mm256_unpacklo_pd(encG, encB);  // g0 b0 | g2 b2
-    const __m256d gb_hi = _mm256_unpackhi_pd(encG, encB);  // g1 b1 | g3 b3
-    acc_gb = _mm_add_pd(acc_gb, _mm256_castpd256_pd128(gb_lo));
-    acc_gb = _mm_add_pd(acc_gb, _mm256_castpd256_pd128(gb_hi));
-    acc_gb = _mm_add_pd(acc_gb, _mm256_extractf128_pd(gb_lo, 1));
-    acc_gb = _mm_add_pd(acc_gb, _mm256_extractf128_pd(gb_hi, 1));
-  }
-  alignas(32) double labr[4];
-  _mm256_store_pd(labr, acc_labr);
-  alignas(16) double gb[2];
-  _mm_store_pd(gb, acc_gb);
-  sums.l = labr[0];
-  sums.a = labr[1];
-  sums.b = labr[2];
-  sums.r = labr[3];
-  sums.g = gb[0];
-  sums.bb = gb[1];
-  if (i < count) row_lab_rgb_sums_segment(pixels + i, count - i, sums);
+  alignas(32) double lab[4];
+  alignas(32) double red[4];
+  alignas(32) double green[4];
+  alignas(32) double blue[4];
+  _mm256_store_pd(lab, acc_lab);
+  _mm256_store_pd(red, acc_red);
+  _mm256_store_pd(green, acc_green);
+  _mm256_store_pd(blue, acc_blue);
+  sums.l = lab[0];
+  sums.a = lab[1];
+  sums.b = lab[2];
+  sums.r = red[3];
+  sums.g = green[3];
+  sums.bb = blue[3];
 }
 
 void vignette_signal_avx2(const double* col2, int column_begin, int column_end,

@@ -43,29 +43,30 @@ const KernelTable kScalarKernels = {
     shot_sigma_scalar,        delta_e_ab_scalar,
 };
 
-const LutSoA& lut_soa() noexcept {
-  static const LutSoA soa = [] {
-    LutSoA s;
+const LabLut& lab_lut() noexcept {
+  static const LabLut lut = [] {
+    LabLut table;
     const auto& contributions = color::rgb8_lab_contributions();
     for (int channel = 0; channel < 3; ++channel) {
       for (int code = 0; code < 256; ++code) {
         const util::Vec3& v =
             contributions[static_cast<std::size_t>(channel)][static_cast<std::size_t>(code)];
-        s.contrib[channel][0][code] = v.x;
-        s.contrib[channel][1][code] = v.y;
-        s.contrib[channel][2][code] = v.z;
+        double* row = table.rows[channel][code];
+        row[0] = v.x;
+        row[1] = v.y;
+        row[2] = v.z;
         // Bit-identical to from_rgb8: the same code / 255.0 division.
-        if (channel == 0) s.encode[code] = code / 255.0;
+        row[3] = code / 255.0;
       }
     }
     const auto& lab_f = color::lab_f_table_values();
     for (int i = 0; i < color::kLabFTableSamples; ++i) {
-      s.lab_f[i] = lab_f[static_cast<std::size_t>(i)];
+      table.lab_f[i] = lab_f[static_cast<std::size_t>(i)];
     }
-    s.lab_f[color::kLabFTableSamples] = s.lab_f[color::kLabFTableSamples - 1];
-    return s;
+    table.lab_f[color::kLabFTableSamples] = table.lab_f[color::kLabFTableSamples - 1];
+    return table;
   }();
-  return soa;
+  return lut;
 }
 
 }  // namespace colorbars::simd::detail

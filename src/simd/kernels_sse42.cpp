@@ -1,8 +1,11 @@
-// SSE4.2 backend: 2 double lanes per step, no gathers (table reads are
-// scalar loads packed into vectors). Compiled with -msse4.2 only — the
-// same no-FMA byte-identity argument as the AVX2 TU applies. Structure
-// mirrors kernels_avx2.cpp at half width; see that file for the
-// reasoning behind each operation order.
+// SSE4.2 backend: 2 double lanes per step for the demosaic and the
+// pointwise kernels (vignette, shot sigma, ΔE). Compiled with -msse4.2
+// only — the same no-FMA byte-identity argument as the AVX2 TU applies.
+// Structure mirrors kernels_avx2.cpp at half width; see that file for
+// the reasoning behind each operation order. The Lab row reduction runs
+// the scalar segment here, as on NEON: at two lanes a vector kernel is
+// bound by table loads and shuffles, and measured no faster than the
+// scalar segment on the 32-byte code rows (DESIGN.md §5).
 
 #include <immintrin.h>
 
@@ -11,11 +14,6 @@
 namespace colorbars::simd::detail {
 
 namespace {
-
-/// Two scalar table loads packed as [lane0 = base[i0], lane1 = base[i1]].
-inline __m128d gather2(const double* base, int i0, int i1) {
-  return _mm_set_pd(base[i1], base[i0]);
-}
 
 void demosaic_interior_sse42(const double* raw, int rows, int columns,
                              double* rgb_out) {
@@ -73,96 +71,8 @@ void demosaic_interior_sse42(const double* raw, int rows, int columns,
   }
 }
 
-/// Vector lab_f_fast over 2 lanes; same structure as the AVX2 variant.
-__m128d lab_f_fast_2(__m128d t, const double* values) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d scale = _mm_set1_pd(static_cast<double>(color::kLabFTableSamples - 1));
-  const __m128d in_range = _mm_and_pd(_mm_cmpge_pd(t, zero), _mm_cmple_pd(t, one));
-  const __m128d scaled = _mm_mul_pd(t, scale);
-  const __m128i index = _mm_cvttpd_epi32(scaled);  // lanes 2,3 zeroed
-  __m128i idx = _mm_max_epi32(index, _mm_setzero_si128());
-  idx = _mm_min_epi32(idx, _mm_set1_epi32(color::kLabFTableSamples - 2));
-  const int i0 = _mm_cvtsi128_si32(idx);
-  const int i1 = _mm_extract_epi32(idx, 1);
-  const __m128d v0 = gather2(values, i0, i1);
-  const __m128d v1 = gather2(values + 1, i0, i1);
-  const __m128d fraction = _mm_sub_pd(scaled, _mm_cvtepi32_pd(idx));
-  __m128d result = _mm_add_pd(v0, _mm_mul_pd(_mm_sub_pd(v1, v0), fraction));
-  const __m128i top32 = _mm_cmpgt_epi32(index, _mm_set1_epi32(color::kLabFTableSamples - 2));
-  const __m128d top_mask = _mm_castsi128_pd(_mm_cvtepi32_epi64(top32));
-  result = _mm_blendv_pd(result, _mm_set1_pd(values[color::kLabFTableSamples - 1]),
-                         top_mask);
-  const int out_of_range = _mm_movemask_pd(in_range) ^ 0x3;
-  if (out_of_range != 0) {
-    alignas(16) double tv[2];
-    alignas(16) double rv[2];
-    _mm_store_pd(tv, t);
-    _mm_store_pd(rv, result);
-    for (int lane = 0; lane < 2; ++lane) {
-      if ((out_of_range & (1 << lane)) != 0) rv[lane] = color::lab_f_fast(tv[lane]);
-    }
-    result = _mm_load_pd(rv);
-  }
-  return result;
-}
-
 void row_lab_rgb_sums_sse42(const color::Rgb8* pixels, int count, RowSums& sums) {
-  const LutSoA& lut = lut_soa();
-  // Accumulator pairs [L, a], [b, r], [g, b8]; one pixel's pair is added
-  // at a time, keeping every component's additions in pixel order.
-  __m128d acc_la = _mm_set_pd(sums.a, sums.l);
-  __m128d acc_br = _mm_set_pd(sums.r, sums.b);
-  __m128d acc_gb = _mm_set_pd(sums.bb, sums.g);
-  const __m128d c116 = _mm_set1_pd(116.0);
-  const __m128d c16 = _mm_set1_pd(16.0);
-  const __m128d c500 = _mm_set1_pd(500.0);
-  const __m128d c200 = _mm_set1_pd(200.0);
-  int i = 0;
-  for (; i + 1 < count; i += 2) {
-    const color::Rgb8 p0 = pixels[i];
-    const color::Rgb8 p1 = pixels[i + 1];
-
-    const __m128d rx = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][0], p0.r, p1.r),
-                                             gather2(lut.contrib[1][0], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][0], p0.b, p1.b));
-    const __m128d ry = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][1], p0.r, p1.r),
-                                             gather2(lut.contrib[1][1], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][1], p0.b, p1.b));
-    const __m128d rz = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][2], p0.r, p1.r),
-                                             gather2(lut.contrib[1][2], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][2], p0.b, p1.b));
-
-    const __m128d fx = lab_f_fast_2(rx, lut.lab_f);
-    const __m128d fy = lab_f_fast_2(ry, lut.lab_f);
-    const __m128d fz = lab_f_fast_2(rz, lut.lab_f);
-    const __m128d labL = _mm_sub_pd(_mm_mul_pd(c116, fy), c16);
-    const __m128d labA = _mm_mul_pd(c500, _mm_sub_pd(fx, fy));
-    const __m128d labB = _mm_mul_pd(c200, _mm_sub_pd(fy, fz));
-    const __m128d encR = gather2(lut.encode, p0.r, p1.r);
-    const __m128d encG = gather2(lut.encode, p0.g, p1.g);
-    const __m128d encB = gather2(lut.encode, p0.b, p1.b);
-
-    acc_la = _mm_add_pd(acc_la, _mm_unpacklo_pd(labL, labA));  // pixel 0
-    acc_la = _mm_add_pd(acc_la, _mm_unpackhi_pd(labL, labA));  // pixel 1
-    acc_br = _mm_add_pd(acc_br, _mm_unpacklo_pd(labB, encR));
-    acc_br = _mm_add_pd(acc_br, _mm_unpackhi_pd(labB, encR));
-    acc_gb = _mm_add_pd(acc_gb, _mm_unpacklo_pd(encG, encB));
-    acc_gb = _mm_add_pd(acc_gb, _mm_unpackhi_pd(encG, encB));
-  }
-  alignas(16) double la[2];
-  alignas(16) double br[2];
-  alignas(16) double gb[2];
-  _mm_store_pd(la, acc_la);
-  _mm_store_pd(br, acc_br);
-  _mm_store_pd(gb, acc_gb);
-  sums.l = la[0];
-  sums.a = la[1];
-  sums.b = br[0];
-  sums.r = br[1];
-  sums.g = gb[0];
-  sums.bb = gb[1];
-  if (i < count) row_lab_rgb_sums_segment(pixels + i, count - i, sums);
+  row_lab_rgb_sums_segment(pixels, count, sums);
 }
 
 void vignette_signal_sse42(const double* col2, int column_begin, int column_end,

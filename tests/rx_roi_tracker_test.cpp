@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 
 namespace colorbars::rx {
 namespace {
@@ -40,6 +41,22 @@ TEST(SceneTracker, ConfigValidation) {
   EXPECT_THROW(RoiTracker({.min_active_fraction = 1.5}), std::invalid_argument);
   EXPECT_THROW(RoiTracker({.retire_after_frames = 0}), std::invalid_argument);
   EXPECT_NO_THROW(RoiTracker{});
+
+  // detect is public and static, so it validates its config too; a zero
+  // cell would divide by zero.
+  camera::Frame frame = make_frame();
+  paint_strip(frame, 0, frame.columns);
+  EXPECT_THROW(static_cast<void>(RoiTracker::detect(frame, {.cell_rows = 0})),
+               std::invalid_argument);
+  // A cell size near INT_MAX must not overflow the grid size: one cell
+  // covers the whole lit frame.
+  const auto regions = RoiTracker::detect(
+      frame, {.cell_rows = INT_MAX, .cell_columns = INT_MAX});
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].left, 0);
+  EXPECT_EQ(regions[0].top, 0);
+  EXPECT_EQ(regions[0].width, frame.columns);
+  EXPECT_EQ(regions[0].height, frame.rows);
 }
 
 TEST(SceneTracker, EmptyFrameYieldsNoDetections) {

@@ -16,6 +16,7 @@
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/camera/profile.hpp"
+#include "colorbars/color/lut.hpp"
 #include "colorbars/color/srgb.hpp"
 #include "colorbars/led/tri_led.hpp"
 #include "colorbars/pipeline/buffer_pool.hpp"
@@ -91,24 +92,37 @@ TEST(Simd, BackendProbeAndDispatchControls) {
 
 TEST(Simd, Rgb8LabChainMatchesScalarExhaustively) {
   // Every (r, g, b) in 256^3, swept as 65536 rows of 256 pixels (b
-  // varies within a row). The summed Lab/RGB row reduction must be
-  // bit-equal per row, which pins every per-pixel LUT lookup, lerp and
-  // accumulation step of the vector backends to the scalar chain.
+  // varies within a row). The scalar backend's row sums must be
+  // bit-equal to the color chain itself — rgb8_to_lab_fast and
+  // from_rgb8 summed in pixel order — and every vector backend's to the
+  // scalar ones. That pins every per-pixel LUT lookup, lerp and
+  // accumulation step of every backend to the chain, so this runs even
+  // when no vector backend is compiled.
   const std::vector<simd::Backend> backends = vector_backends();
-  if (backends.empty()) GTEST_SKIP() << "no vector backend compiled/supported";
   BackendGuard guard;
 
   std::vector<color::Rgb8> row(256);
   for (int r = 0; r < 256; ++r) {
     for (int g = 0; g < 256; ++g) {
+      simd::RowSums chain;
       for (int b = 0; b < 256; ++b) {
-        row[static_cast<std::size_t>(b)] = {static_cast<std::uint8_t>(r),
-                                            static_cast<std::uint8_t>(g),
-                                            static_cast<std::uint8_t>(b)};
+        const color::Rgb8 pixel{static_cast<std::uint8_t>(r), static_cast<std::uint8_t>(g),
+                                static_cast<std::uint8_t>(b)};
+        row[static_cast<std::size_t>(b)] = pixel;
+        const color::Lab lab = color::rgb8_to_lab_fast(pixel);
+        const util::Vec3 encoded = color::from_rgb8(pixel);
+        chain.l += lab.L;
+        chain.a += lab.a;
+        chain.b += lab.b;
+        chain.r += encoded.x;
+        chain.g += encoded.y;
+        chain.bb += encoded.z;
       }
       ASSERT_TRUE(simd::set_backend(simd::Backend::kScalar));
       simd::RowSums reference;
       simd::row_lab_rgb_sums(row.data(), 256, reference);
+      ASSERT_TRUE(bit_equal(reference, chain))
+          << "scalar diverged from the color chain at r=" << r << " g=" << g;
       for (const simd::Backend backend : backends) {
         ASSERT_TRUE(simd::set_backend(backend));
         simd::RowSums sums;
