@@ -51,7 +51,7 @@ rgb8_lab_contributions() noexcept;
 [[nodiscard]] Vec3 linear_of_rgb8(const Rgb8& pixel) noexcept;
 
 /// CIE Lab f() transfer via the interpolated table (inputs outside
-/// [0, 1] fall back to the exact evaluation).
+/// [0, 1], NaN included, fall back to the exact evaluation).
 [[nodiscard]] double lab_f_fast(double t) noexcept;
 
 /// Fast Rgb8 -> Lab: decode + matrix + white normalization from tables,

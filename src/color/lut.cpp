@@ -161,7 +161,9 @@ Vec3 linear_of_rgb8(const Rgb8& pixel) noexcept {
 }
 
 double lab_f_fast(double t) noexcept {
-  if (t < 0.0 || t > 1.0) return lab_f_exact(t);
+  // Written so NaN fails it too: NaN takes the exact path (and returns
+  // NaN) instead of converting to an out-of-table index.
+  if (!(t >= 0.0 && t <= 1.0)) return lab_f_exact(t);
   const double scaled = t * (kLabFSamples - 1);
   const int index = static_cast<int>(scaled);
   if (index >= kLabFSamples - 1) return lab_f_table().values[kLabFSamples - 1];

@@ -39,21 +39,37 @@ extern const KernelTable kAvx2Kernels;
 extern const KernelTable kNeonKernels;
 #endif
 
-/// The color LUTs in the layout the Lab row reduction reads: one
-/// 32-byte row per (channel, code), {X/Xn, Y/Yn, Z/Zn contribution,
-/// code/255.0}. A pixel's three rows added lane-wise give its
-/// white-normalized XYZ in lanes 0-2, and lane 3 of each row is the
-/// exact from_rgb8 value of that channel. The doubles are copied
-/// bit-for-bit from the scalar tables (lane 3 is from_rgb8's own
-/// division), so reading here is byte-identical to indexing the
-/// originals.
+/// The color LUTs in the layout the Lab row reduction reads. Beside
+/// the chain's own f() samples they store three values the per-pixel
+/// chain would otherwise recompute, each exact (DESIGN.md §5):
+///
+///  - rows: one 32-byte row per (channel, code), {X/Xn, Y/Yn, Z/Zn
+///    contribution times kLabFScale, code/255.0}. A pixel's three rows
+///    added lane-wise in the chain's (red + green) + blue order give its
+///    white-normalized XYZ times kLabFScale in lanes 0-2, bit for bit:
+///    scaling by a power of two is exact and commutes with rounding (no
+///    contribution is subnormal). So the sum is already the lab_f table
+///    coordinate the chain computes as t * 4096, and no per-pixel
+///    multiply is left. Lane 3 of each row is the exact from_rgb8 value
+///    of that channel (from_rgb8's own division).
+///  - lab_f_slope: lab_f[i + 1] - lab_f[i], the chain's own difference,
+///    so a lerp is lab_f[i] + slope * fraction. The top sample's slope
+///    is 0, so a lerp at t = 1 returns that sample exactly, as
+///    lab_f_fast's explicit branch does.
+///  - white_lab: the Lab of pure white, (L, a, b, 0). Every other code
+///    keeps all three sums in [0, 1] (pinned by
+///    Simd.Rgb8LabChainMatchesScalarExhaustively), so pure white, whose
+///    X sum is 1.0000000000000002, is the one pixel that takes
+///    lab_f_fast's exact cube root. The kernels test the codes and add
+///    this precomputed rgb8_to_lab_fast result instead.
 struct LabLut {
+  static constexpr double kLabFScale = color::kLabFTableSamples - 1;
   alignas(64) double rows[3][256][4];
-  /// The lab_f samples plus a pad copy of the top one: a lerp at the
-  /// top index reads values[index + 1] in bounds, and since the
-  /// difference and the fraction there are both 0 it returns the top
-  /// sample exactly, as lab_f_fast does for t == 1.
-  alignas(64) double lab_f[color::kLabFTableSamples + 1];
+  /// color::lab_f_table_values(), read in place: the samples the chain
+  /// interpolates, not a copy.
+  const double* lab_f;
+  alignas(64) double lab_f_slope[color::kLabFTableSamples];
+  alignas(32) double white_lab[4];
 };
 
 const LabLut& lab_lut() noexcept;
@@ -118,14 +134,20 @@ namespace {
   }
 }
 
-/// color::lab_f_fast on the padded table, with its operations in its
-/// order: the exact cube-root fallback outside [0, 1], else the lerp
-/// (t == 1 lands on the pad, see LabLut).
-[[maybe_unused]] inline double lab_f_lerp(double t, const double* values) {
-  if (t < 0.0 || t > 1.0) return color::lab_f_fast(t);
-  const double scaled = t * (color::kLabFTableSamples - 1);
+/// True for pure white, the one pixel whose Lab the row reduction
+/// takes from LabLut::white_lab (see LabLut).
+[[maybe_unused]] inline bool is_pure_white(const color::Rgb8& pixel) {
+  return (pixel.r & pixel.g & pixel.b) == 255;
+}
+
+/// color::lab_f_fast(scaled / kLabFScale) for a component sum `scaled`
+/// of a pixel other than pure white, which lies in [0, kLabFScale]:
+/// the chain's index truncation, fraction and lerp, with the stored
+/// slope (see LabLut).
+[[maybe_unused]] inline double lab_f_lerp(double scaled, const double* values,
+                                          const double* slopes) {
   const int index = static_cast<int>(scaled);
-  return values[index] + (values[index + 1] - values[index]) * (scaled - index);
+  return values[index] + slopes[index] * (scaled - index);
 }
 
 /// Scalar reference of the scanline reduction inner loop: per pixel,
@@ -134,19 +156,28 @@ namespace {
 [[maybe_unused]] void row_lab_rgb_sums_segment(const color::Rgb8* pixels, int count,
                                                RowSums& sums) {
   const LabLut& lut = lab_lut();
+  const double* values = lut.lab_f;
+  const double* slopes = lut.lab_f_slope;
   // Local accumulators: sums may alias the table for all the compiler
   // knows, which would force a store and reload per pixel.
   RowSums acc = sums;
   for (int i = 0; i < count; ++i) {
-    const double* red = lut.rows[0][pixels[i].r];
-    const double* green = lut.rows[1][pixels[i].g];
-    const double* blue = lut.rows[2][pixels[i].b];
-    const double fx = lab_f_lerp(red[0] + green[0] + blue[0], lut.lab_f);
-    const double fy = lab_f_lerp(red[1] + green[1] + blue[1], lut.lab_f);
-    const double fz = lab_f_lerp(red[2] + green[2] + blue[2], lut.lab_f);
-    acc.l += 116.0 * fy - 16.0;
-    acc.a += 500.0 * (fx - fy);
-    acc.b += 200.0 * (fy - fz);
+    const color::Rgb8 pixel = pixels[i];
+    const double* red = lut.rows[0][pixel.r];
+    const double* green = lut.rows[1][pixel.g];
+    const double* blue = lut.rows[2][pixel.b];
+    if (is_pure_white(pixel)) {
+      acc.l += lut.white_lab[0];
+      acc.a += lut.white_lab[1];
+      acc.b += lut.white_lab[2];
+    } else {
+      const double fx = lab_f_lerp(red[0] + green[0] + blue[0], values, slopes);
+      const double fy = lab_f_lerp(red[1] + green[1] + blue[1], values, slopes);
+      const double fz = lab_f_lerp(red[2] + green[2] + blue[2], values, slopes);
+      acc.l += 116.0 * fy - 16.0;
+      acc.a += 500.0 * (fx - fy);
+      acc.b += 200.0 * (fy - fz);
+    }
     acc.r += red[3];
     acc.g += green[3];
     acc.bb += blue[3];

@@ -97,12 +97,11 @@ void demosaic_interior_avx2(const double* raw, int rows, int columns, double* rg
 
 void row_lab_rgb_sums_avx2(const color::Rgb8* pixels, int count, RowSums& sums) {
   const LabLut& lut = lab_lut();
+  const double* values = lut.lab_f;
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d scale = _mm256_set1_pd(static_cast<double>(color::kLabFTableSamples - 1));
-  const __m128i top = _mm_set1_epi32(color::kLabFTableSamples - 1);
   const __m256d factor = _mm256_set_pd(0.0, 200.0, 500.0, 116.0);
   const __m256d offset = _mm256_set_pd(0.0, 0.0, 0.0, 16.0);
+  const __m256d white_lab = _mm256_load_pd(lut.white_lab);
   // acc_lab holds (L, a, b, -). acc_red/green/blue add up whole code
   // rows; only their lane 3, the encoded channel, is read back. Each
   // is one in-order chain per component, like the scalar loop's.
@@ -111,39 +110,28 @@ void row_lab_rgb_sums_avx2(const color::Rgb8* pixels, int count, RowSums& sums) 
   __m256d acc_green = _mm256_set_pd(sums.g, 0.0, 0.0, 0.0);
   __m256d acc_blue = _mm256_set_pd(sums.bb, 0.0, 0.0, 0.0);
   for (int i = 0; i < count; ++i) {
-    const __m256d red = _mm256_load_pd(lut.rows[0][pixels[i].r]);
-    const __m256d green = _mm256_load_pd(lut.rows[1][pixels[i].g]);
-    const __m256d blue = _mm256_load_pd(lut.rows[2][pixels[i].b]);
+    const color::Rgb8 pixel = pixels[i];
+    const __m256d red = _mm256_load_pd(lut.rows[0][pixel.r]);
+    const __m256d green = _mm256_load_pd(lut.rows[1][pixel.g]);
+    const __m256d blue = _mm256_load_pd(lut.rows[2][pixel.b]);
     acc_red = _mm256_add_pd(acc_red, red);
     acc_green = _mm256_add_pd(acc_green, green);
     acc_blue = _mm256_add_pd(acc_blue, blue);
-
-    // Lanes 0-2: X/Xn, Y/Yn, Z/Zn in the scalar (red + green) + blue
-    // order. Lane 3 sums the three codes and is ignored from here on.
-    const __m256d t = _mm256_add_pd(_mm256_add_pd(red, green), blue);
-    // lab_f_fast per lane: the lerp with the scalar index truncation.
-    // The clamp only keeps the gathers in the table for lane 3 and for
-    // out-of-range lanes, whose lerp is discarded; in range it is a
-    // no-op, and t == 1 lands on the pad (see LabLut).
-    const __m256d scaled = _mm256_mul_pd(t, scale);
-    const __m128i index = _mm_min_epi32(
-        _mm_max_epi32(_mm256_cvttpd_epi32(scaled), _mm_setzero_si128()), top);
-    const __m256d v0 = _mm256_i32gather_pd(lut.lab_f, index, 8);
-    const __m256d v1 = _mm256_i32gather_pd(lut.lab_f + 1, index, 8);
-    const __m256d fraction = _mm256_sub_pd(scaled, _mm256_cvtepi32_pd(index));
-    __m256d f = _mm256_add_pd(v0, _mm256_mul_pd(_mm256_sub_pd(v1, v0), fraction));
-    const __m256d in_range = _mm256_and_pd(_mm256_cmp_pd(t, zero, _CMP_GE_OQ),
-                                           _mm256_cmp_pd(t, one, _CMP_LE_OQ));
-    if ((_mm256_movemask_pd(in_range) & 0b0111) != 0b0111) {
-      // Outside [0, 1] lab_f_fast takes the exact cube root; only pure
-      // white does (its X sum is 1.0000000000000002).
-      alignas(32) double tv[4];
-      alignas(32) double fv[4];
-      _mm256_store_pd(tv, t);
-      _mm256_store_pd(fv, f);
-      for (int lane = 0; lane < 3; ++lane) fv[lane] = lab_f_lerp(tv[lane], lut.lab_f);
-      f = _mm256_load_pd(fv);
+    if (is_pure_white(pixel)) {  // the exact-cbrt pixel, see LabLut
+      acc_lab = _mm256_add_pd(acc_lab, white_lab);
+      continue;
     }
+
+    // Lanes 0-2: 4096 X/Xn, Y/Yn, Z/Zn in the scalar (red + green) +
+    // blue order, each in [0, 4096] for every pixel but pure white.
+    // Lane 3 sums three code/255 values, so its index is at most 3 and
+    // its gathers stay in the tables; that lane is ignored from here on.
+    const __m256d scaled = _mm256_add_pd(_mm256_add_pd(red, green), blue);
+    const __m128i index = _mm256_cvttpd_epi32(scaled);
+    const __m256d value = _mm256_i32gather_pd(values, index, 8);
+    const __m256d slope = _mm256_i32gather_pd(lut.lab_f_slope, index, 8);
+    const __m256d fraction = _mm256_sub_pd(scaled, _mm256_cvtepi32_pd(index));
+    const __m256d f = _mm256_add_pd(value, _mm256_mul_pd(slope, fraction));
 
     // (L, a, b) = (116 fy - 16, 500 (fx - fy), 200 (fy - fz)) as
     // (116, 500, 200) * ((fy, fx, fy) - (0, fy, fz)) - (16, 0, 0): the

@@ -52,18 +52,25 @@ const LabLut& lab_lut() noexcept {
         const util::Vec3& v =
             contributions[static_cast<std::size_t>(channel)][static_cast<std::size_t>(code)];
         double* row = table.rows[channel][code];
-        row[0] = v.x;
-        row[1] = v.y;
-        row[2] = v.z;
+        row[0] = v.x * LabLut::kLabFScale;
+        row[1] = v.y * LabLut::kLabFScale;
+        row[2] = v.z * LabLut::kLabFScale;
         // Bit-identical to from_rgb8: the same code / 255.0 division.
         row[3] = code / 255.0;
       }
     }
     const auto& lab_f = color::lab_f_table_values();
-    for (int i = 0; i < color::kLabFTableSamples; ++i) {
-      table.lab_f[i] = lab_f[static_cast<std::size_t>(i)];
+    table.lab_f = lab_f.data();
+    for (int i = 0; i + 1 < color::kLabFTableSamples; ++i) {
+      const auto sample = static_cast<std::size_t>(i);
+      table.lab_f_slope[i] = lab_f[sample + 1] - lab_f[sample];
     }
-    table.lab_f[color::kLabFTableSamples] = table.lab_f[color::kLabFTableSamples - 1];
+    table.lab_f_slope[color::kLabFTableSamples - 1] = 0.0;
+    const color::Lab white = color::rgb8_to_lab_fast({255, 255, 255});
+    table.white_lab[0] = white.L;
+    table.white_lab[1] = white.a;
+    table.white_lab[2] = white.b;
+    table.white_lab[3] = 0.0;
     return table;
   }();
   return lut;

@@ -47,6 +47,9 @@ TEST(LabFFast, InterpolatesWithinTightTolerance) {
   // Out-of-range inputs fall back to the exact evaluation.
   EXPECT_DOUBLE_EQ(lab_f_fast(1.5), std::cbrt(1.5));
   EXPECT_DOUBLE_EQ(lab_f_fast(-0.01), (24389.0 / 27.0 * -0.01 + 16.0) / 116.0);
+  // NaN is outside [0, 1] too: it takes the exact path and comes back
+  // NaN, never a table index.
+  EXPECT_TRUE(std::isnan(lab_f_fast(std::numeric_limits<double>::quiet_NaN())));
 }
 
 TEST(Rgb8ToLabFast, AgreesWithExactChainWithinQuantizationTolerance) {

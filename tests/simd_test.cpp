@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iomanip>
 #include <random>
 #include <vector>
 
@@ -98,8 +99,16 @@ TEST(Simd, Rgb8LabChainMatchesScalarExhaustively) {
   // scalar ones. That pins every per-pixel LUT lookup, lerp and
   // accumulation step of every backend to the chain, so this runs even
   // when no vector backend is compiled.
+  //
+  // The sweep also pins the one exception the kernels decide from the
+  // codes: pure white is the only pixel whose white-normalized X, Y or Z
+  // sum leaves [0, 1], where lab_f_fast takes the exact cube root. A
+  // table change that moves another code out of range fails here by
+  // name, not as a bare byte mismatch.
   const std::vector<simd::Backend> backends = vector_backends();
   BackendGuard guard;
+  const auto& contributions = color::rgb8_lab_contributions();
+  const auto in_unit_range = [](double t) { return t >= 0.0 && t <= 1.0; };
 
   std::vector<color::Rgb8> row(256);
   for (int r = 0; r < 256; ++r) {
@@ -109,6 +118,15 @@ TEST(Simd, Rgb8LabChainMatchesScalarExhaustively) {
         const color::Rgb8 pixel{static_cast<std::uint8_t>(r), static_cast<std::uint8_t>(g),
                                 static_cast<std::uint8_t>(b)};
         row[static_cast<std::size_t>(b)] = pixel;
+        const util::Vec3 ratio = contributions[0][pixel.r] + contributions[1][pixel.g] +
+                                 contributions[2][pixel.b];
+        const bool leaves_range =
+            !in_unit_range(ratio.x) || !in_unit_range(ratio.y) || !in_unit_range(ratio.z);
+        const bool white = r == 255 && g == 255 && b == 255;
+        ASSERT_EQ(leaves_range, white)
+            << "the codes whose X/Xn, Y/Yn or Z/Zn sum leaves [0, 1] are no longer "
+               "exactly pure white: (" << r << ", " << g << ", " << b << ") sums to ("
+            << std::setprecision(17) << ratio.x << ", " << ratio.y << ", " << ratio.z << ")";
         const color::Lab lab = color::rgb8_to_lab_fast(pixel);
         const util::Vec3 encoded = color::from_rgb8(pixel);
         chain.l += lab.L;

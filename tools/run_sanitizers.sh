@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds and runs the test suite under sanitizers:
 #
-#   1. ASan + UBSan (-DCOLORBARS_SANITIZE=ON): the full suite.
+#   1. ASan + UBSan (-DCOLORBARS_SANITIZE=ON, which adds
+#      float-cast-overflow to GCC's "undefined" group): the full suite.
 #   2. TSan (-DCOLORBARS_TSAN=ON): the thread-pool, determinism, and
 #      streaming-pipeline tests, which exercise every concurrent code
 #      path (parallel_for regions, shared-pool resizing, concurrent
