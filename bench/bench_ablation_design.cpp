@@ -88,7 +88,7 @@ int main() {
                               static_cast<std::uint32_t>(nearest));
     }
     natural /= constellation.size();
-    std::printf("%-8s %-24.2f %-24.2f\n", bench::order_name(order),
+    std::printf("%-8s %-24.2f %-24.2f\n", csk::order_name(order),
                 mapper.mean_neighbor_hamming(constellation), natural);
   }
 

@@ -44,7 +44,7 @@ int main() {
     const core::LinkRunResult result = sim.run_goodput(3.0);
     const core::SerResult ser = sim.run_ser(4000);
     std::printf("ColorBars %-16s %10.1f bps  %-14.4f %s\n",
-                bench::order_name(order), result.goodput_bps(), ser.ser(),
+                csk::order_name(order), result.goodput_bps(), ser.ser(),
                 "goodput incl. FEC + calibration + whites");
   }
 

@@ -16,7 +16,7 @@ int main() {
   for (const csk::CskOrder order : csk::all_orders()) {
     const csk::Constellation constellation(order);
     const csk::SymbolMapper mapper(constellation);
-    std::printf("\n%s (%d symbols, %d bits/symbol)\n", bench::order_name(order),
+    std::printf("\n%s (%d symbols, %d bits/symbol)\n", csk::order_name(order),
                 constellation.size(), constellation.bits());
     std::printf("  %-6s %-8s %-8s %s\n", "sym", "x", "y", "bit label");
     for (int i = 0; i < constellation.size(); ++i) {

@@ -104,10 +104,10 @@ int main() {
     const csk::Constellation constellation(order, gamut);
     const double xy = constellation.min_pairwise_distance();
     const double ab = min_rendered_ab_distance(constellation.points());
-    std::printf("%-8s %-20.4f %-22.3f\n", bench::order_name(order), xy, ab);
+    std::printf("%-8s %-20.4f %-22.3f\n", csk::order_name(order), xy, ab);
     report.add_row()
         .label("table", "packing")
-        .label("order", bench::order_name(order))
+        .label("order", csk::order_name(order))
         .metric("min_xy_distance", xy)
         .metric("min_rendered_ab_distance", ab);
   }
@@ -149,12 +149,12 @@ int main() {
         const core::LinkRunResult run = goodput_sim.run_goodput(1.5);
 
         std::printf("%-8s %-10s %-9s %-10.4f %-12.0f %-10lld %-8lld\n",
-                    bench::order_name(order), spread.name, engine.name, ser.ser(),
+                    csk::order_name(order), spread.name, engine.name, ser.ser(),
                     run.goodput_bps(), ser.engine_retrains,
                     ser.engine_fallback_decisions);
         report.add_row()
             .label("table", "link")
-            .label("order", bench::order_name(order))
+            .label("order", csk::order_name(order))
             .label("spread", spread.name)
             .label("engine", engine.name)
             .metric("delay_spread_s", spread.delay_spread_s)

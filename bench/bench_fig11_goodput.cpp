@@ -26,7 +26,7 @@ int main() {
     }
     std::printf("\n");
     for (const csk::CskOrder order : csk::all_orders()) {
-      std::printf("%-8s", bench::order_name(order));
+      std::printf("%-8s", csk::order_name(order));
       for (const double frequency : bench::paper_frequencies()) {
         core::LinkConfig config;
         config.order = order;
@@ -40,7 +40,7 @@ int main() {
         std::printf(" %9.2fkb", batch.goodput_bps.mean / 1000.0);
         report.add_row()
             .label("device", profile.name)
-            .label("order", bench::order_name(order))
+            .label("order", csk::order_name(order))
             .metric("symbol_rate_hz", frequency)
             .metric("goodput_bps_mean", batch.goodput_bps.mean)
             .metric("goodput_bps_stddev", batch.goodput_bps.stddev);

@@ -78,7 +78,7 @@ int main() {
     }
     std::printf("\n");
     for (const csk::CskOrder order : csk::all_orders()) {
-      std::printf("%-8s", bench::order_name(order));
+      std::printf("%-8s", csk::order_name(order));
       for (const double frequency : bench::paper_frequencies()) {
         core::BatchStats ser;
         core::BatchStats loss_ratio;
@@ -96,7 +96,7 @@ int main() {
         std::printf(" %11.4f", ser.mean);
         report.add_row()
             .label("device", profile.name)
-            .label("order", bench::order_name(order))
+            .label("order", csk::order_name(order))
             .metric("symbol_rate_hz", frequency)
             .metric("ser_mean", ser.mean)
             .metric("ser_stddev", ser.stddev)

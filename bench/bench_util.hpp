@@ -150,17 +150,6 @@ inline void print_header(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-inline const char* order_name(csk::CskOrder order) {
-  switch (order) {
-    case csk::CskOrder::kCsk4: return "CSK4";
-    case csk::CskOrder::kCsk8: return "CSK8";
-    case csk::CskOrder::kCsk16: return "CSK16";
-    case csk::CskOrder::kCsk32: return "CSK32";
-    case csk::CskOrder::kCsk64: return "CSK64";
-  }
-  return "?";
-}
-
 inline const std::vector<double>& paper_frequencies() {
   static const std::vector<double> frequencies{1000, 2000, 3000, 4000};
   return frequencies;

@@ -87,16 +87,12 @@ bool parse(int argc, char** argv, Options& options) {
 }
 
 bool build_config(const Options& options, core::LinkConfig& config) {
-  switch (options.order) {
-    case 4: config.order = csk::CskOrder::kCsk4; break;
-    case 8: config.order = csk::CskOrder::kCsk8; break;
-    case 16: config.order = csk::CskOrder::kCsk16; break;
-    case 32: config.order = csk::CskOrder::kCsk32; break;
-    case 64: config.order = csk::CskOrder::kCsk64; break;
-    default:
-      std::fprintf(stderr, "order must be 4, 8, 16, 32 or 64\n");
-      return false;
+  const auto order = csk::order_from_int(options.order);
+  if (!order) {
+    std::fprintf(stderr, "order must be 4, 8, 16, 32 or 64\n");
+    return false;
   }
+  config.order = *order;
   if (options.rate <= 0 || options.rate > 4500) {
     std::fprintf(stderr, "rate must be in (0, 4500] Hz (LED hardware limit)\n");
     return false;

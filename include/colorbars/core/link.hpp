@@ -72,6 +72,14 @@ struct LinkConfig {
   int pipeline_lookahead = 8;
   std::uint64_t seed = 0xc01055eedULL;
 
+  /// Throws std::invalid_argument unless a simulator can run this
+  /// config: the profile, channel, pd and engine validators, a finite
+  /// positive LED radiance and rate limit, a symbol rate in
+  /// (0, led.max_symbol_rate_hz] and an illumination ratio in (0, 1].
+  /// LinkSimulator's constructor, svc::make_jobs and the svc wire
+  /// decoder all run it, so every path rejects the same configs.
+  void validate() const;
+
   /// RS code for this link, derived from the profile's loss ratio per
   /// the paper's §5 formulas. Memoized on the derivation inputs, so the
   /// transmitter/receiver config builders (and any callers between

@@ -19,6 +19,7 @@
 // Objects preserve insertion order, so dump() output is deterministic.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,7 +38,7 @@ class Json {
   static Json boolean(bool value);
   static Json number(double value);
   /// Parser-internal: a number carrying its exact source token (what
-  /// dump() re-emits and as_uint64()/as_int64() re-parse).
+  /// dump() re-emits and as_int64()/as_uint64() re-parse).
   static Json raw_number(double value, std::string token);
   static Json integer(std::int64_t value);
   static Json unsigned_integer(std::uint64_t value);
@@ -57,10 +58,12 @@ class Json {
   /// that need strictness check kind() (the wire layer does).
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept;
   [[nodiscard]] double as_double(double fallback = 0.0) const noexcept;
-  [[nodiscard]] std::int64_t as_int64(std::int64_t fallback = 0) const noexcept;
-  /// Parses the raw numeric token as an unsigned 64-bit integer, so
-  /// values above 2^53 (RNG seeds) round-trip exactly.
-  [[nodiscard]] std::uint64_t as_uint64(std::uint64_t fallback = 0) const noexcept;
+  /// Integer accessors over the raw numeric token, so values above 2^53
+  /// (RNG seeds) round-trip exactly. Empty unless the value is a number
+  /// whose token is an integer literal (no fraction, no exponent) that
+  /// fits the type: 1.5, 1e300 and, for as_uint64, -1 are all empty.
+  [[nodiscard]] std::optional<std::int64_t> as_int64() const noexcept;
+  [[nodiscard]] std::optional<std::uint64_t> as_uint64() const noexcept;
   [[nodiscard]] const std::string& as_string() const noexcept;
 
   // --- arrays ---
@@ -99,7 +102,8 @@ class Json {
   bool bool_ = false;
   double number_ = 0.0;
   /// Raw numeric token (as parsed, or as formatted by the factory) —
-  /// the authoritative representation for dump() and as_uint64().
+  /// the authoritative representation for dump() and the integer
+  /// accessors.
   std::string number_token_;
   std::string string_;
   std::vector<Json> array_;

@@ -53,7 +53,9 @@ struct PointResult {
 
 /// Decomposes a sweep into jobs. Job ids are assigned in (point, shard)
 /// order; ordering is irrelevant to results (each job names its point
-/// and trial range explicitly).
+/// and trial range explicitly). Throws std::invalid_argument if any
+/// point's config fails LinkConfig::validate, so both sweep paths
+/// reject a bad grid before any trial runs or any worker spawns.
 [[nodiscard]] std::vector<JobRequest> make_jobs(const SweepSpec& spec);
 
 /// Executes one job's trials in-process (the worker's compute path, and

@@ -18,6 +18,12 @@
 // 17-digit tokens, 64-bit seeds via raw integer tokens — see json.hpp).
 // That exactness is what lets a sweep sharded over N workers aggregate
 // byte-identically to the sequential run.
+//
+// Every serialized struct has one field list in wire.cpp, from which
+// both the encoder and the strict decoder derive: an integer field
+// accepts only an integer literal that fits its type, a double only a
+// finite number, an enum only a known label, and a decoded LinkConfig
+// must pass LinkConfig::validate.
 
 #include <cstdint>
 #include <optional>
@@ -71,8 +77,8 @@ class FrameDecoder {
 [[nodiscard]] Json link_config_to_json(const core::LinkConfig& config);
 
 /// Parses a LinkConfig. Returns std::nullopt (and sets `error`) on any
-/// missing field, wrong type, unknown enum label, or out-of-range value
-/// the subsystem validators reject.
+/// missing field, wrong type, unknown enum label, out-of-range integer,
+/// non-finite number, or config LinkConfig::validate rejects.
 [[nodiscard]] std::optional<core::LinkConfig> link_config_from_json(
     const Json& json, std::string* error = nullptr);
 
@@ -80,9 +86,6 @@ class FrameDecoder {
 
 /// Which LinkSimulator measurement one trial runs.
 enum class TrialKind { kSer, kThroughput, kGoodput };
-
-[[nodiscard]] const char* trial_kind_name(TrialKind kind) noexcept;
-[[nodiscard]] std::optional<TrialKind> trial_kind_from_name(std::string_view name);
 
 /// One goodput trial's outcome (the svc projection of LinkRunResult —
 /// the full ReceiverReport stays in the worker).
@@ -180,16 +183,13 @@ struct Message {
 // --- adaptive-run serialization (used by encode_job / results) ---
 
 [[nodiscard]] Json adaptive_config_to_json(const adapt::AdaptiveLinkConfig& config);
+/// Parses an AdaptiveLinkConfig with the same strict field rules; its
+/// boundary check is SensorProfile::validate only.
 [[nodiscard]] std::optional<adapt::AdaptiveLinkConfig> adaptive_config_from_json(
-    const Json& json, std::string* error = nullptr);
-[[nodiscard]] Json trajectory_to_json(const adapt::Trajectory& trajectory);
-[[nodiscard]] std::optional<adapt::Trajectory> trajectory_from_json(
     const Json& json, std::string* error = nullptr);
 /// Serializes every IntervalRecord scalar (the monitor sample / smoothed
 /// quality snapshots stay in the worker — no consumer reads them across
 /// the wire).
 [[nodiscard]] Json adaptive_result_to_json(const adapt::AdaptiveRunResult& result);
-[[nodiscard]] std::optional<adapt::AdaptiveRunResult> adaptive_result_from_json(
-    const Json& json, std::string* error = nullptr);
 
 }  // namespace colorbars::svc

@@ -9,16 +9,9 @@
 namespace colorbars::adapt {
 
 std::string rung_name(const Rung& rung) {
-  const char* order = "?";
-  switch (rung.order) {
-    case csk::CskOrder::kCsk4: order = "CSK4"; break;
-    case csk::CskOrder::kCsk8: order = "CSK8"; break;
-    case csk::CskOrder::kCsk16: order = "CSK16"; break;
-    case csk::CskOrder::kCsk32: order = "CSK32"; break;
-    case csk::CskOrder::kCsk64: order = "CSK64"; break;
-  }
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%s@%gHz", order, rung.symbol_rate_hz);
+  std::snprintf(buf, sizeof buf, "%s@%gHz", csk::order_name(rung.order),
+                rung.symbol_rate_hz);
   return buf;
 }
 

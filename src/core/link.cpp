@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
 #include <memory>
+#include <stdexcept>
 
 #include "colorbars/frontend/frontend.hpp"
 #include "colorbars/pd/frontend.hpp"
@@ -22,17 +22,23 @@ rs::CodeParameters derive_link_code(csk::CskOrder order, double symbol_rate_hz,
   // back-of-envelope formula we account for the packet overhead
   // (delimiter + flag + size field), which keeps the probability of a
   // header landing in the gap at exactly the loss ratio l.
+  //
+  // The slot arithmetic runs in double and is clamped before each int
+  // conversion, so no rate can overflow one; fmax/fmin also map a NaN
+  // operand to the bound. Where every intermediate fits an int, n and k
+  // equal plain integer arithmetic's.
+  const auto clamp = [](double v, double lo, double hi) {
+    return std::fmin(std::fmax(v, lo), hi);
+  };
   const int bits = csk::bits_per_symbol(order);
   const double slots_per_period = symbol_rate_hz / frame_rate_hz;  // Fs + Ls
-  const int overhead_slots = static_cast<int>(protocol::delimiter_sequence().size() +
-                                              protocol::data_flag_sequence().size()) +
-                             protocol::size_field_symbols(order);
-  const int payload_slots =
-      std::max(static_cast<int>(std::floor(slots_per_period)) - overhead_slots, 8);
-  const int data_symbols =
-      std::max(static_cast<int>(std::floor(payload_slots * illumination_ratio)), 4);
+  const double overhead_slots = static_cast<double>(
+      protocol::delimiter_sequence().size() + protocol::data_flag_sequence().size() +
+      static_cast<std::size_t>(protocol::size_field_symbols(order)));
+  const double payload_slots = std::fmax(std::floor(slots_per_period) - overhead_slots, 8.0);
+  const double data_symbols = std::fmax(std::floor(payload_slots * illumination_ratio), 4.0);
 
-  int n = std::clamp(data_symbols * bits / 8, 3, 255);
+  const int n = static_cast<int>(clamp(std::floor(data_symbols * bits / 8.0), 3.0, 255.0));
   // Parity sizing: the gap erases phi * C * Ls data bits per packet, but
   // the receiver *locates* the loss (the size field plus the band count
   // reveal where the gap fell, §7), so RS needs only ~1 parity byte per
@@ -42,8 +48,28 @@ rs::CodeParameters derive_link_code(csk::CskOrder order, double symbol_rate_hz,
   // here reproduces the Fig. 11 magnitudes (see EXPERIMENTS.md).
   const double lost_symbols = loss_ratio * slots_per_period;  // Ls
   const double parity_bits = 1.25 * illumination_ratio * bits * lost_symbols;
-  const int parity = std::clamp(static_cast<int>(std::ceil(parity_bits / 8.0)), 2, n - 1);
+  const int parity = static_cast<int>(clamp(std::ceil(parity_bits / 8.0), 2.0, n - 1.0));
   return {n, n - parity};
+}
+
+void LinkConfig::validate() const {
+  profile.validate();
+  channel.validate();
+  pd.validate();
+  engine.validate();
+  // `!(x op y)` so NaN fails every check.
+  if (!(led.peak_radiance > 0.0) || !std::isfinite(led.peak_radiance) ||
+      !(led.max_symbol_rate_hz > 0.0) || !std::isfinite(led.max_symbol_rate_hz)) {
+    throw std::invalid_argument(
+        "LinkConfig: led peak_radiance and max_symbol_rate_hz must be positive and finite");
+  }
+  if (!(symbol_rate_hz > 0.0) || !(symbol_rate_hz <= led.max_symbol_rate_hz)) {
+    throw std::invalid_argument(
+        "LinkConfig: symbol_rate_hz must be in (0, led.max_symbol_rate_hz]");
+  }
+  if (!(illumination_ratio > 0.0) || !(illumination_ratio <= 1.0)) {
+    throw std::invalid_argument("LinkConfig: illumination_ratio must be in (0, 1]");
+  }
 }
 
 rs::CodeParameters LinkConfig::code() const {
@@ -99,7 +125,7 @@ LinkSimulator::LinkSimulator(LinkConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   // Fail at construction, not at the first run_* call deep inside a
   // trial batch (mirrors ExposureSettings::validate).
-  config_.channel.validate();
+  config_.validate();
 }
 
 namespace {

@@ -22,6 +22,24 @@ const std::vector<CskOrder>& all_orders() {
   return orders;
 }
 
+std::optional<CskOrder> order_from_int(int symbols) {
+  for (const CskOrder order : all_orders()) {
+    if (symbol_count(order) == symbols) return order;
+  }
+  return std::nullopt;
+}
+
+const char* order_name(CskOrder order) noexcept {
+  switch (order) {
+    case CskOrder::kCsk4: return "CSK4";
+    case CskOrder::kCsk8: return "CSK8";
+    case CskOrder::kCsk16: return "CSK16";
+    case CskOrder::kCsk32: return "CSK32";
+    case CskOrder::kCsk64: return "CSK64";
+  }
+  return "?";
+}
+
 namespace {
 
 // Triangular-lattice barycentric layouts mirroring the 802.15.7 figures

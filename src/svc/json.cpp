@@ -1,6 +1,7 @@
 #include "colorbars/svc/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -100,29 +101,28 @@ double Json::as_double(double fallback) const noexcept {
   return kind_ == Kind::kNumber ? number_ : fallback;
 }
 
-std::int64_t Json::as_int64(std::int64_t fallback) const noexcept {
-  if (kind_ != Kind::kNumber) return fallback;
-  // The raw token is authoritative (a double cannot hold every int64).
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(number_token_.c_str(), &end, 10);
-  if (end == number_token_.c_str() || errno == ERANGE) {
-    return static_cast<std::int64_t>(number_);
-  }
-  // A fractional token falls back to the double interpretation.
-  if (*end != '\0') return static_cast<std::int64_t>(number_);
-  return parsed;
+namespace {
+
+/// The token's value when it is an integer literal that fits T.
+template <typename T>
+std::optional<T> integer_token(const std::string& token) noexcept {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, status] = std::from_chars(token.data(), end, value);
+  if (status != std::errc{} || stop != end) return std::nullopt;
+  return value;
 }
 
-std::uint64_t Json::as_uint64(std::uint64_t fallback) const noexcept {
-  if (kind_ != Kind::kNumber) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(number_token_.c_str(), &end, 10);
-  if (end == number_token_.c_str() || errno == ERANGE || *end != '\0') {
-    return fallback;
-  }
-  return parsed;
+}  // namespace
+
+std::optional<std::int64_t> Json::as_int64() const noexcept {
+  if (kind_ != Kind::kNumber) return std::nullopt;
+  return integer_token<std::int64_t>(number_token_);
+}
+
+std::optional<std::uint64_t> Json::as_uint64() const noexcept {
+  if (kind_ != Kind::kNumber) return std::nullopt;
+  return integer_token<std::uint64_t>(number_token_);
 }
 
 const std::string& Json::as_string() const noexcept {

@@ -72,6 +72,7 @@ std::vector<JobRequest> make_jobs(const SweepSpec& spec) {
   long long next_id = 0;
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     const SweepPoint& point = spec.points[p];
+    point.config.validate();
     const int trials = point.trials < 0 ? 0 : point.trials;
     const int grain = spec.trials_per_job > 0 ? spec.trials_per_job : trials;
     for (int begin = 0; begin < trials; begin += grain > 0 ? grain : trials) {

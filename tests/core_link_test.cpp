@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace colorbars::core {
 namespace {
 
@@ -24,6 +27,47 @@ TEST(DeriveLinkCode, HigherLossMeansMoreParity) {
   const rs::CodeParameters low = derive_link_code(csk::CskOrder::kCsk8, 4000, 30, 0.23, 0.8);
   const rs::CodeParameters high = derive_link_code(csk::CskOrder::kCsk8, 4000, 30, 0.37, 0.8);
   EXPECT_GT(high.n - high.k, low.n - low.k);
+}
+
+TEST(DeriveLinkCode, MatchesIntegerSizingAndSurvivesExtremeRates) {
+  // The sizing rule as integer arithmetic, valid while every conversion
+  // is in range: derive_link_code must agree with it exactly there.
+  const auto reference = [](csk::CskOrder order, double rate, double fps, double loss,
+                            double phi) {
+    const int bits = csk::bits_per_symbol(order);
+    const double slots = rate / fps;
+    const int overhead = static_cast<int>(protocol::delimiter_sequence().size() +
+                                          protocol::data_flag_sequence().size()) +
+                         protocol::size_field_symbols(order);
+    const int payload = std::max(static_cast<int>(std::floor(slots)) - overhead, 8);
+    const int data = std::max(static_cast<int>(std::floor(payload * phi)), 4);
+    const int n = std::clamp(data * bits / 8, 3, 255);
+    const double parity_bits = 1.25 * phi * bits * loss * slots;
+    const int parity = std::clamp(static_cast<int>(std::ceil(parity_bits / 8.0)), 2, n - 1);
+    return rs::CodeParameters{n, n - parity};
+  };
+  for (const csk::CskOrder order : csk::all_orders()) {
+    for (const double rate : {1.0, 250.0, 999.5, 2000.0, 4500.0, 12345.0, 2e5}) {
+      for (const double loss : {0.0, 0.2312, 0.3727, 0.9}) {
+        for (const double phi : {0.05, 0.5, 0.8, 1.0}) {
+          const rs::CodeParameters expected = reference(order, rate, 30.0, loss, phi);
+          const rs::CodeParameters code = derive_link_code(order, rate, 30.0, loss, phi);
+          EXPECT_EQ(code.n, expected.n) << rate << " " << loss << " " << phi;
+          EXPECT_EQ(code.k, expected.k) << rate << " " << loss << " " << phi;
+        }
+      }
+    }
+  }
+  // Rates whose slot counts overflow an int, and NaN, saturate instead
+  // of overflowing a conversion.
+  for (const double rate : {1e300, HUGE_VAL, std::nan("")}) {
+    const rs::CodeParameters code = derive_link_code(csk::CskOrder::kCsk16, rate, 30.0,
+                                                     0.2312, 0.8);
+    EXPECT_GE(code.n, 3) << rate;
+    EXPECT_LE(code.n, 255) << rate;
+    EXPECT_GE(code.k, 1) << rate;
+    EXPECT_LE(code.k, code.n - 2) << rate;
+  }
 }
 
 TEST(LinkConfig, TransmitterAndReceiverAgree) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
 #include <set>
 
 #include "colorbars/util/rng.hpp"
@@ -80,6 +82,17 @@ INSTANTIATE_TEST_SUITE_P(Orders, AllOrders,
                          [](const auto& info) {
                            return "Csk" + std::to_string(static_cast<int>(info.param));
                          });
+
+TEST(Constellation, OrderParsesFromItsSymbolCountAndNamesItself) {
+  const char* names[] = {"CSK4", "CSK8", "CSK16", "CSK32", "CSK64"};
+  ASSERT_EQ(all_orders().size(), std::size(names));
+  for (std::size_t i = 0; i < all_orders().size(); ++i) {
+    const CskOrder order = all_orders()[i];
+    EXPECT_EQ(order_from_int(symbol_count(order)), order);
+    EXPECT_STREQ(order_name(order), names[i]);
+  }
+  for (const int bad : {0, 3, 128, -4}) EXPECT_EQ(order_from_int(bad), std::nullopt) << bad;
+}
 
 TEST(Constellation, MinDistanceShrinksWithOrder) {
   double previous = 1e9;

@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,22 @@ TEST(Svc, CrashedWorkerIsRespawnedAndResultsStayByteIdentical) {
   EXPECT_GE(stats.retries, 1);
   EXPECT_GE(stats.respawns, 1);
   EXPECT_EQ(stats.jobs_completed, 6);
+}
+
+TEST(Svc, InvalidPointThrowsBeforeAnyTrialOrWorker) {
+  // A point the simulator would refuse fails both sweep paths up front
+  // with the simulator's error. It must never reach a worker, where
+  // every retry would die on it.
+  SweepSpec spec = small_spec();
+  spec.points[1].config.symbol_rate_hz = 0.0;
+  EXPECT_THROW((void)make_jobs(spec), std::invalid_argument);
+  EXPECT_THROW((void)run_sweep_sequential(spec), std::invalid_argument);
+  ServiceConfig config;
+  config.workers = 2;
+  SvcStats stats;
+  EXPECT_THROW((void)run_sweep(spec, config, &stats), std::invalid_argument);
+  EXPECT_EQ(stats.respawns, 0);
+  EXPECT_EQ(stats.jobs_completed, 0);
 }
 
 TEST(Svc, SweepTeardownDoesNotWaitForHeartbeat) {

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "colorbars/svc/json.hpp"
 #include "colorbars/svc/service.hpp"
@@ -46,9 +48,28 @@ TEST(SvcWire, JsonUint64AboveDoublePrecisionRoundTrips) {
     const std::string text = Json::unsigned_integer(seed).dump();
     const Json parsed = Json::parse(text);
     ASSERT_TRUE(parsed.is_number());
-    EXPECT_EQ(parsed.as_uint64(), seed) << text;
+    EXPECT_EQ(parsed.as_uint64(), std::optional<std::uint64_t>(seed)) << text;
     EXPECT_EQ(parsed.dump(), text);
   }
+}
+
+TEST(SvcWire, JsonIntegerAccessorsAcceptOnlyFittingIntegerLiterals) {
+  const auto int64 = [](const char* token) { return Json::parse(token).as_int64(); };
+  const auto uint64 = [](const char* token) { return Json::parse(token).as_uint64(); };
+  EXPECT_EQ(int64("-9223372036854775808"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(int64("4294967299"), 4294967299LL);
+  EXPECT_EQ(uint64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  // Fractions, exponents, overflow and (unsigned) negatives are not
+  // integers, even when the double they spell is integral or huge.
+  for (const char* token : {"1.5", "720.0", "7e2", "1e300", "1e999", "-1e999",
+                            "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_EQ(int64(token), std::nullopt) << token;
+  }
+  for (const char* token : {"-1", "-0", "1.5", "1e300", "18446744073709551616"}) {
+    EXPECT_EQ(uint64(token), std::nullopt) << token;
+  }
+  EXPECT_EQ(Json::string("7").as_int64(), std::nullopt);
+  EXPECT_EQ(Json().as_uint64(), std::nullopt);
 }
 
 TEST(SvcWire, JsonStringEscapesRoundTrip) {
@@ -218,6 +239,41 @@ TEST(SvcWire, LinkConfigRoundTripsEveryKnob) {
   EXPECT_EQ(decoded->seed, 0xdeadbeefcafef00dULL);
 }
 
+/// A member path from the root: object keys, or array indices written
+/// as decimal strings.
+using Path = std::vector<std::string>;
+
+/// `json` with the value at `path` replaced by `value`, or removed when
+/// `value` is empty. Members and elements keep their order.
+Json replaced(const Json& json, const Path& path, const std::optional<Json>& value,
+              std::size_t depth = 0) {
+  // The new value of the child on the path; empty drops it.
+  const auto child = [&](const Json& old) -> std::optional<Json> {
+    if (depth + 1 < path.size()) return replaced(old, path, value, depth + 1);
+    return value;
+  };
+  if (json.is_array()) {
+    Json out = Json::array();
+    for (std::size_t i = 0; i < json.size(); ++i) {
+      if (std::to_string(i) != path[depth]) {
+        out.push_back(json.at(i));
+      } else if (auto element = child(json.at(i))) {
+        out.push_back(std::move(*element));
+      }
+    }
+    return out;
+  }
+  Json out = Json::object();
+  for (const auto& [key, member] : json.members()) {
+    if (key != path[depth]) {
+      out.set(key, member);
+    } else if (auto kept = child(member)) {
+      out.set(key, std::move(*kept));
+    }
+  }
+  return out;
+}
+
 TEST(SvcWire, LinkConfigParseRejectsBadInput) {
   const Json good = link_config_to_json(core::LinkConfig{});
   std::string error;
@@ -274,6 +330,52 @@ TEST(SvcWire, LinkConfigParseRejectsBadInput) {
   }
   // Not an object at all.
   EXPECT_FALSE(link_config_from_json(Json::integer(3), &error).has_value());
+
+  // Integer fields take only integer literals that fit the field's type;
+  // none of these may be coerced (to 720, 720, 0 or 2^64 - 1).
+  for (const auto& [path, token] :
+       std::initializer_list<std::pair<Path, const char*>>{
+           {{"profile", "rows"}, "4294968016"},
+           {{"profile", "rows"}, "720.9"},
+           {{"seed"}, "1.5"},
+           {{"seed"}, "-1"}}) {
+    error.clear();
+    EXPECT_FALSE(link_config_from_json(replaced(good, path, Json::parse(token)), &error)
+                     .has_value())
+        << path.back() << " = " << token;
+    EXPECT_NE(error.find(path.back()), std::string::npos) << error;
+  }
+
+  // Values LinkConfig::validate rejects fail at the wire, not inside a
+  // worker's first trial. The simulator refuses the same configs at
+  // construction.
+  const auto rejected = [&](Path path, double value) {
+    error.clear();
+    EXPECT_FALSE(link_config_from_json(replaced(good, path, Json::number(value)), &error)
+                     .has_value())
+        << path.back() << " = " << value;
+    EXPECT_NE(error.find("validation"), std::string::npos) << error;
+  };
+  rejected({"symbol_rate_hz"}, 0.0);
+  rejected({"symbol_rate_hz"}, -2000.0);
+  rejected({"symbol_rate_hz"}, 4500.5);  // above led.max_symbol_rate_hz
+  rejected({"illumination_ratio"}, 0.0);
+  rejected({"illumination_ratio"}, 1.5);
+  rejected({"led", "peak_radiance"}, 0.0);
+  rejected({"led", "max_symbol_rate_hz"}, 0.0);
+  for (const auto& mutate : std::initializer_list<void (*)(core::LinkConfig&)>{
+           [](core::LinkConfig& c) { c.symbol_rate_hz = 0.0; },
+           [](core::LinkConfig& c) { c.symbol_rate_hz = 4500.5; },
+           [](core::LinkConfig& c) { c.symbol_rate_hz = 1e300; },
+           [](core::LinkConfig& c) { c.illumination_ratio = 0.0; },
+           [](core::LinkConfig& c) { c.illumination_ratio = 1.5; },
+           [](core::LinkConfig& c) { c.led.peak_radiance = 0.0; },
+           [](core::LinkConfig& c) { c.led.max_symbol_rate_hz = -1.0; },
+           [](core::LinkConfig& c) { c.led.max_symbol_rate_hz = HUGE_VAL; }}) {
+    core::LinkConfig config;
+    mutate(config);
+    EXPECT_THROW((void)core::LinkSimulator(config), std::invalid_argument);
+  }
 }
 
 // --- message envelopes ---
@@ -382,6 +484,257 @@ TEST(SvcWire, ParseMessageRejectsMalformedEnvelopes) {
       parse_message("{\"type\":\"result\",\"id\":1,\"worker\":0,\"kind\":\"ser\"}",
                     &error)
           .has_value());
+  // Integer fields: exponent, fractional and out-of-range tokens are
+  // errors that name the field, never a cast (casting 1e300 or 1e999 to
+  // an integer is undefined behaviour).
+  for (const char* worker : {"1e300", "1e999", "-1e999", "4294967299", "0.5", "1e0"}) {
+    error.clear();
+    const std::string hello = std::string("{\"type\":\"hello\",\"worker\":") + worker +
+                              ",\"generation\":0,\"pid\":1}";
+    EXPECT_FALSE(parse_message(hello, &error).has_value()) << hello;
+    EXPECT_NE(error.find("worker"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(
+      parse_message("{\"type\":\"heartbeat\",\"worker\":0,\"job_id\":9223372036854775808}",
+                    &error)
+          .has_value());
+  EXPECT_NE(error.find("job_id"), std::string::npos) << error;
+}
+
+// --- frozen wire bytes ---
+
+/// FNV-1a 64 over a payload's bytes.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+JobRequest exercised_link_job() {
+  JobRequest job;
+  job.id = 42;
+  job.kind = TrialKind::kGoodput;
+  job.point = 7;
+  job.trial_begin = 3;
+  job.trial_end = 6;
+  job.symbols_per_trial = 500;
+  job.duration_s = 1.75;
+  job.config = exercised_config();
+  return job;
+}
+
+JobRequest exercised_adaptive_job() {
+  JobRequest job;
+  job.id = 9;
+  job.point = 9;
+  job.is_adaptive = true;
+  job.adaptive.ladder = adapt::default_ladder(eq::EngineKind::kFrequencyDomain);
+  job.adaptive.initial_rung = 2;
+  job.adaptive.adaptation_enabled = false;
+  job.adaptive.control_interval_s = 0.3;
+  job.adaptive.recalibration_cost_s = 0.25;
+  job.adaptive.profile = camera::iphone5s_profile();
+  job.adaptive.illumination_ratio = 0.7;
+  job.adaptive.calibration_rate_hz = 6.0;
+  job.adaptive.classifier.matching_space = rx::MatchingSpace::kRgb;
+  job.adaptive.pipeline_lookahead = 4;
+  job.adaptive.monitor.alpha = 0.4;
+  job.adaptive.controller.up_confirm_intervals = 3;
+  job.adaptive.controller.switch_cost_intervals = 1.5;
+  job.adaptive.feedback.delay_intervals = 2;
+  job.adaptive.feedback.loss_probability = 0.1;
+  job.adaptive.seed = (1ULL << 60) + 12345;
+  job.trajectory = adapt::walkaway_trajectory();
+  return job;
+}
+
+JobResultMessage exercised_result(TrialKind kind) {
+  JobResultMessage result;
+  result.id = 5;
+  result.worker = 1;
+  result.trials_kind = kind;
+  for (long long row = 1; row <= 2; ++row) {
+    TrialResult trial;
+    trial.ser = {1000 * row, 900 * row, 17 * row, 0.1 * row, 880, 12, 2, 1, 1.5};
+    trial.throughput = {4000 * row, 3100, 2.0 / 3.0, 4};
+    trial.goodput = {(1LL << 40) * row, 7777, 0.5, 9, 2};
+    result.trials.push_back(trial);
+  }
+  return result;
+}
+
+JobResultMessage exercised_adaptive_result() {
+  JobResultMessage result;
+  result.id = 11;
+  result.worker = 3;
+  result.is_adaptive = true;
+  adapt::AdaptiveRunResult& run = result.adaptive;
+  for (int i = 0; i < 2; ++i) {
+    adapt::IntervalRecord record;
+    record.interval = (1LL << 35) + i;
+    record.epoch = 2 + i;
+    record.rung = 4;
+    record.segment = i;
+    record.start_time_s = 0.4 * i;
+    record.air_time_s = 0.45;
+    record.payload_bytes = 600;
+    record.recovered_bytes = 512 - i;
+    record.packets_sent = 20;
+    record.packets_ok = 17;
+    record.packets_failed = 5;
+    record.header_losses = 6;
+    record.corrected_symbols = 33;
+    record.desired_rung = 8 - i;
+    record.command_sent = i == 0;
+    record.command_lost = i == 1;
+    run.intervals.push_back(record);
+  }
+  run.total_time_s = 0.9;
+  run.payload_bytes = 1200;
+  run.recovered_bytes = 1023;
+  run.epochs = 3;
+  run.upshifts = 1;
+  run.downshifts = 2;
+  run.commands_sent = 4;
+  run.commands_lost = 1;
+  run.final_rung = 1;
+  return result;
+}
+
+/// Encodes a parsed message again, dispatching on its type.
+std::string reencode(const Message& message) {
+  if (message.type == "hello") return encode_hello(message.hello);
+  if (message.type == "heartbeat") return encode_heartbeat(message.heartbeat);
+  if (message.type == "job") return encode_job(message.job);
+  if (message.type == "result") return encode_job_result(message.result);
+  return encode_shutdown();
+}
+
+TEST(SvcWire, EncodingIsFrozen) {
+  // Hashes of the wire bytes of every message type. Round-trip tests
+  // cannot see a renamed key, a reordered field or an integer emitted as
+  // a double; these hashes can, so they change only with a deliberate
+  // change of the wire format. A mismatch prints the payload to diff.
+  struct Case {
+    const char* name;
+    std::string payload;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"link job", encode_job(exercised_link_job()), 0x2222deb2e313600bULL},
+      {"adaptive job", encode_job(exercised_adaptive_job()), 0xe9fd3693760646a0ULL},
+      {"ser result", encode_job_result(exercised_result(TrialKind::kSer)),
+       0xba133e201ba605a7ULL},
+      {"throughput result", encode_job_result(exercised_result(TrialKind::kThroughput)),
+       0xefe86769327144c2ULL},
+      {"goodput result", encode_job_result(exercised_result(TrialKind::kGoodput)),
+       0x3ddd32a9c5855cc1ULL},
+      {"adaptive result", encode_job_result(exercised_adaptive_result()),
+       0x90b56a1998466c68ULL},
+      {"hello", encode_hello({3, 2, 1LL << 40}), 0x3a39ae41c65b9a46ULL},
+      {"heartbeat", encode_heartbeat({1, -1}), 0x8ad39b78ec93ffb9ULL},
+      {"shutdown", encode_shutdown(), 0x6f69c2b65c81caadULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(fnv1a(c.payload), c.hash)
+        << c.name << " hashes to 0x" << std::hex << fnv1a(c.payload)
+        << "; payload: " << c.payload;
+    // The decoder reads back exactly what the encoder wrote.
+    std::string error;
+    const auto message = parse_message(c.payload, &error);
+    ASSERT_TRUE(message.has_value()) << c.name << ": " << error;
+    EXPECT_EQ(reencode(*message), c.payload) << c.name;
+  }
+}
+
+// --- a hostile value at every encoded leaf ---
+
+/// Appends the path of every scalar leaf under `json`.
+void collect_leaves(const Json& json, Path& path, std::vector<Path>& leaves) {
+  const auto descend = [&](const std::string& step, const Json& child) {
+    path.push_back(step);
+    collect_leaves(child, path, leaves);
+    path.pop_back();
+  };
+  if (json.is_object()) {
+    for (const auto& [key, member] : json.members()) descend(key, member);
+  } else if (json.is_array()) {
+    for (std::size_t i = 0; i < json.size(); ++i) descend(std::to_string(i), json.at(i));
+  } else {
+    leaves.push_back(path);
+  }
+}
+
+/// The value at `path` under `json` (a shared null if absent).
+const Json& at_path(const Json& json, const Path& path) {
+  const Json* node = &json;
+  for (const std::string& step : path) {
+    node = node->is_array() ? &node->at(std::stoul(step)) : &(*node)[step];
+  }
+  return *node;
+}
+
+TEST(SvcWire, HostileValueAtEveryLeafIsRejectedOrSafe) {
+  // The sweep walks the encoded messages, so a new knob is covered with
+  // no edit here. Each leaf in turn is dropped or replaced by a hostile
+  // token. The parser must return an error, or a message that carries
+  // the value unchanged (reject, never coerce), re-encodes stably, and
+  // holds a link config a simulator accepts.
+  const std::string payloads[] = {
+      encode_job(exercised_link_job()),
+      encode_job(exercised_adaptive_job()),
+      encode_job_result(exercised_result(TrialKind::kSer)),
+      encode_job_result(exercised_result(TrialKind::kThroughput)),
+      encode_job_result(exercised_result(TrialKind::kGoodput)),
+      encode_job_result(exercised_adaptive_result()),
+      encode_hello({3, 2, 12345}),
+      encode_heartbeat({1, 77}),
+  };
+  std::vector<std::optional<Json>> hostile = {std::nullopt, Json::string("x")};
+  for (const char* token : {"0", "-1", "2.5", "1e300", "1e999", "4294967299"}) {
+    hostile.push_back(Json::parse(token));
+  }
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& payload : payloads) {
+    const Json message = Json::parse(payload);
+    std::vector<Path> leaves;
+    Path path;
+    collect_leaves(message, path, leaves);
+    for (const Path& leaf : leaves) {
+      for (const std::optional<Json>& value : hostile) {
+        std::string where;
+        for (const std::string& step : leaf) where += "/" + step;
+        where += " = " + (value ? value->dump() : std::string("<missing>"));
+        std::string error;
+        const auto parsed = parse_message(replaced(message, leaf, value).dump(), &error);
+        if (!parsed) {
+          ++rejected;
+          EXPECT_FALSE(error.empty()) << where;
+          continue;
+        }
+        ++accepted;
+        if (parsed->type == "job" && !parsed->job.is_adaptive) {
+          EXPECT_NO_THROW((void)core::LinkSimulator(parsed->job.config)) << where;
+        }
+        const std::string again = reencode(*parsed);
+        if (value) {
+          const Json echoed = Json::parse(again);
+          EXPECT_EQ(at_path(echoed, leaf).kind(), value->kind()) << where;
+          EXPECT_EQ(at_path(echoed, leaf).as_double(), value->as_double()) << where;
+          EXPECT_EQ(at_path(echoed, leaf).as_string(), value->as_string()) << where;
+        }
+        const auto reparsed = parse_message(again, &error);
+        ASSERT_TRUE(reparsed.has_value()) << where << ": " << error;
+        EXPECT_EQ(reencode(*reparsed), again) << where;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 1000);
 }
 
 // --- mutation fuzz: hostile bytes through decoder + parser, no UB ---

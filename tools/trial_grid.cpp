@@ -108,16 +108,12 @@ bool parse_options(int argc, char** argv, Options& options) {
 }
 
 csk::CskOrder order_from_int_or_die(int order) {
-  switch (order) {
-    case 4: return csk::CskOrder::kCsk4;
-    case 8: return csk::CskOrder::kCsk8;
-    case 16: return csk::CskOrder::kCsk16;
-    case 32: return csk::CskOrder::kCsk32;
-    case 64: return csk::CskOrder::kCsk64;
-    default:
-      std::fprintf(stderr, "trial_grid: unsupported CSK order %d\n", order);
-      std::exit(64);
+  const auto parsed = csk::order_from_int(order);
+  if (!parsed) {
+    std::fprintf(stderr, "trial_grid: unsupported CSK order %d\n", order);
+    std::exit(64);
   }
+  return *parsed;
 }
 
 svc::SweepSpec build_spec(const Options& options) {
