@@ -221,19 +221,21 @@ void BM_CameraCaptureFrame(benchmark::State& state) {
 BENCHMARK(BM_CameraCaptureFrame);
 
 // The render's noise draws for one Nexus 5 frame (2 normals per pixel),
-// row by row: Arg(1) one fill_normal per row, Arg(0) the call-by-call
-// normal() loop it replaces. Both produce the same bytes.
+// row by row: Arg(0) the call-by-call normal() loop, Arg(1) one
+// fill_normal per row with the reference polar finish, Arg(2) the same
+// with the dispatched simd::polar_finish the render passes. All three
+// produce the same bytes.
 void BM_FillNormal(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
+  const int mode = static_cast<int>(state.range(0));
   const camera::SensorProfile profile = camera::nexus5_profile();
   util::Xoshiro256 rng(15);
   std::vector<double> row(2 * static_cast<std::size_t>(profile.columns));
   for (auto _ : state) {
     for (int r = 0; r < profile.rows; ++r) {
-      if (batched) {
-        rng.fill_normal(row);
-      } else {
+      if (mode == 0) {
         for (double& value : row) value = rng.normal();
+      } else {
+        rng.fill_normal(row, mode == 1 ? util::Xoshiro256::polar_finish : simd::polar_finish);
       }
       benchmark::DoNotOptimize(row.data());
       benchmark::ClobberMemory();
@@ -241,17 +243,37 @@ void BM_FillNormal(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * profile.rows *
                           static_cast<long long>(row.size()));
-  state.SetLabel(batched ? "fill_normal" : "normal()");
+  state.SetLabel(mode == 0 ? "normal()" : mode == 1 ? "fill_normal" : "fill_normal+simd");
 }
-BENCHMARK(BM_FillNormal)->Arg(0)->Arg(1);
+BENCHMARK(BM_FillNormal)->Arg(0)->Arg(1)->Arg(2);
 
-// The render's sRGB quantize for one Nexus 5 frame, row by row.
+// The mosaic of a rendered Nexus 5 frame: its codes decoded back to
+// linear and sampled through the RGGB pattern. It keeps what the render
+// feeds the demosaic — bands, noise, and the exact 0.0 / 1.0 runs of
+// its clamp in dark and saturated stripes — where uniform values would
+// never reach the quantizer's clamps.
+std::vector<double> rendered_nexus5_mosaic() {
+  const camera::Frame frame = captured_frame();
+  camera::FloatImage linear(frame.rows, frame.columns);
+  for (int r = 0; r < frame.rows; ++r) {
+    for (int c = 0; c < frame.columns; ++c) {
+      linear.at(r, c) = color::linear_of_rgb8(frame.at(r, c));
+    }
+  }
+  return camera::mosaic(linear);
+}
+
+// The render's sRGB quantize for one Nexus 5 frame, row by row, over
+// the demosaiced rows of a rendered frame.
 void BM_QuantizeSrgbRow(benchmark::State& state) {
   const camera::SensorProfile profile = camera::nexus5_profile();
   const auto width = static_cast<std::size_t>(profile.columns);
-  util::Xoshiro256 rng(16);
-  std::vector<util::Vec3> linear(static_cast<std::size_t>(profile.rows) * width);
-  for (auto& pixel : linear) pixel = {rng.uniform(), rng.uniform(), rng.uniform()};
+  const camera::FloatImage demosaiced =
+      camera::demosaic(rendered_nexus5_mosaic(), profile.rows, profile.columns);
+  std::vector<util::Vec3> linear;
+  for (int r = 0; r < profile.rows; ++r) {
+    for (int c = 0; c < profile.columns; ++c) linear.push_back(demosaiced.at(r, c));
+  }
   std::vector<color::Rgb8> out(linear.size());
   for (auto _ : state) {
     for (std::size_t offset = 0; offset < linear.size(); offset += width) {
@@ -329,10 +351,11 @@ void BM_SimdDeltaE(benchmark::State& state) {
 BENCHMARK(BM_SimdDeltaE);
 
 // --compare mode (or COLORBARS_BENCH_COMPARE=1): pin each supported
-// simd backend in turn and rerun the four dispatched kernels in this
-// same process, so scalar-vs-vector numbers land side by side in one
-// BENCH_micro.json under names like "BM_FrameReduceToScanlines/avx2"
-// (and "BM_FrameReduceToScanlines/one_thread/avx2").
+// simd backend in turn and rerun the dispatched kernels, the frame
+// reduce and the frame render in this same process, so scalar-vs-vector
+// numbers land side by side in one BENCH_micro.json under names like
+// "BM_FrameReduceToScanlines/avx2" (and
+// "BM_FrameReduceToScanlines/one_thread/avx2").
 template <typename Body>
 benchmark::internal::Benchmark* register_compare(const char* name, simd::Backend backend,
                                                  Body body) {
@@ -358,21 +381,20 @@ void register_compare_benchmarks() {
         ->Setup(pin_one_thread)
         ->Teardown(restore_thread_count);
 
-    register_compare("BM_BayerDemosaic", backend, [](benchmark::State& state) {
-      // demosaic_into with a reused output, like the pipeline's pooled
-      // RenderScratch path — fresh-allocation cost would bury the kernel.
-      const int rows = 2448;
-      const int columns = 64;
-      util::Xoshiro256 rng(2);
-      std::vector<double> raw(static_cast<std::size_t>(rows) * columns);
-      for (auto& value : raw) value = rng.uniform();
-      camera::FloatImage rgb;
+    register_compare("BM_DemosaicCodeRow", backend, [](benchmark::State& state) {
+      // The render's demosaic→code kernel over every row of a rendered
+      // Nexus 5 frame's mosaic, into a reused frame.
+      const camera::SensorProfile profile = camera::nexus5_profile();
+      const std::vector<double> raw = rendered_nexus5_mosaic();
+      camera::Frame frame;
       for (auto _ : state) {
-        camera::demosaic_into(raw, rows, columns, rgb);
-        benchmark::DoNotOptimize(rgb);
+        camera::demosaic_quantize_into(raw, profile.rows, profile.columns, frame);
+        benchmark::DoNotOptimize(frame.pixels.data());
       }
-      state.SetItemsProcessed(state.iterations() * rows * columns);
+      state.SetItemsProcessed(state.iterations() * profile.rows * profile.columns);
     });
+
+    register_compare("BM_CameraCaptureFrame", backend, BM_CameraCaptureFrame);
 
     register_compare("BM_RowLabRgbSums", backend, [](benchmark::State& state) {
       util::Xoshiro256 rng(1);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "colorbars/camera/image.hpp"
-#include "colorbars/util/arena.hpp"
+#include "colorbars/color/srgb.hpp"
 
 namespace colorbars::camera {
 
@@ -38,13 +38,19 @@ enum class BayerChannel { kRed, kGreen, kBlue };
 void demosaic_into(const std::vector<double>& raw, int rows, int columns,
                    FloatImage& out);
 
-/// Demosaic fused with the sRGB quantizer: out.at(r, c) ==
-/// color::quantize_srgb(demosaic(raw, rows, columns).at(r, c)) for every
-/// pixel, byte for byte. Rows are demosaiced a few at a time into a
-/// window taken from `arena` (valid until its next reset) and quantized
-/// straight into `out` (resized in place; metadata untouched), so no
-/// full-frame RGB image is ever materialized.
+/// One frame row demosaiced straight to 8-bit sRGB codes:
+/// out[c] == color::quantize_srgb(demosaic(raw, rows, columns).at(row, c))
+/// for every column, byte for byte. `mid` holds the row's raw values
+/// and `up` / `down` its neighbours', null for the frame's top / bottom
+/// row; so a render needs only the three raw rows around the one it
+/// encodes. Interior rows take simd::demosaic_code_row; the top and
+/// bottom rows take the generic bounds-checked path.
+void demosaic_quantize_row(const double* up, const double* mid, const double* down, int row,
+                           int columns, color::Rgb8* out);
+
+/// demosaic_quantize_row over every row of a full raw plane, into
+/// `out` (resized in place; metadata untouched).
 void demosaic_quantize_into(std::span<const double> raw, int rows, int columns,
-                            Frame& out, util::CaptureArena& arena);
+                            Frame& out);
 
 }  // namespace colorbars::camera

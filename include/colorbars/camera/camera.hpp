@@ -39,26 +39,25 @@ struct ExposureSettings {
 };
 
 /// Reusable per-frame render scratch: the intermediate buffers one
-/// frame synthesis needs (per-row responses and the Bayer mosaic plane;
-/// demosaic runs a few rows at a time into an arena window and
-/// quantizes straight into the Frame, so no full-frame RGB image
-/// exists). Recyclable across frames — every render resizes the buffers
-/// it uses — so a pipeline::BufferPool can hand the same scratch to
-/// thousands of frames without reallocating.
+/// frame synthesis needs. No frame-sized plane exists — the render
+/// streams rows from the noise draw to 8-bit codes through a three-row
+/// raw window, so its memory is O(columns) beyond the per-row
+/// responses. Recyclable across frames — every render resizes the
+/// buffers it uses — so a pipeline::BufferPool can hand the same scratch
+/// to thousands of frames without reallocating.
 struct RenderScratch {
   std::vector<led::Vec3> row_response;
-  std::vector<double> raw;
   /// Scene-composite renders only: per-emitter per-row LED responses,
   /// laid out emitter-major (emitter * rows + row). Unused (and left
   /// untouched) by the single-trace render path.
   std::vector<led::Vec3> region_rows;
   /// Per-frame bump allocator for row-shaped transients (the vignetted
-  /// signal, shot-sigma and noise rows of the mosaic stage and the
-  /// demosaic window). Reset at the start of every frame; after the
-  /// first frame every row comes back from the same 64-byte-aligned
-  /// block, so the SIMD kernels stay on the aligned fast path and
-  /// nothing reallocates. arena.stats() exposes
-  /// reuse/peak counters the streaming layer aggregates.
+  /// signal, shot-sigma and noise rows of the mosaic stage and the raw
+  /// row window). Reset at the start of every frame; after the first
+  /// frame every row comes back from the same 64-byte-aligned block, so
+  /// the SIMD kernels stay on the aligned fast path and nothing
+  /// reallocates. arena.stats() exposes reuse/peak counters the
+  /// streaming layer aggregates.
   util::CaptureArena arena;
 };
 

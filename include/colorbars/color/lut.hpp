@@ -20,6 +20,7 @@
 // ΔE ≈ 2.3 just-noticeable-difference the receiver classifies against.
 
 #include <array>
+#include <cstdint>
 #include <span>
 
 #include "colorbars/color/lab.hpp"
@@ -60,11 +61,30 @@ rgb8_lab_contributions() noexcept;
 /// the tolerance documented above.
 [[nodiscard]] Lab rgb8_to_lab_fast(const Rgb8& pixel) noexcept;
 
+/// The lookup tables behind quantize_srgb_channel, exposed so the SIMD
+/// demosaic kernels quantize from the exact same entries (the same
+/// byte-identity reason as lab_f_table_values). Bucket k covers linear
+/// inputs [k / kBuckets, (k + 1) / kBuckets); the last bucket holds 1.0
+/// alone. bucket_floor[k] is the code of k / kBuckets, and
+/// bucket_boundary[k] the smallest input whose code is one higher (+inf
+/// in the buckets whose floor is 255). No bucket holds a second
+/// boundary, so an input x clamped to [0, 1], NaN to 0, has the code
+///   bucket_floor[k] + (bucket_boundary[k] <= x ? 1 : 0),
+/// k = int(x * kBuckets): two loads indexed by k alone, one compare.
+struct SrgbQuantTables {
+  static constexpr int kBuckets = 4096;
+  alignas(64) std::array<double, kBuckets + 1> bucket_boundary{};
+  std::array<std::uint8_t, kBuckets + 1> bucket_floor{};
+};
+
+[[nodiscard]] const SrgbQuantTables& srgb_quant_tables() noexcept;
+
 /// Fused sRGB encode + 8-bit quantization of one linear channel.
 /// Returns *exactly* to_rgb8(srgb_encode(...)) for every input — the 255
 /// code-decision boundaries are located once by bisecting the exact
-/// encode chain, so the hot path needs no std::pow at all: a bucket
-/// lookup plus a single compare. NaN maps to code 0.
+/// encode chain, so the hot path needs no std::pow at all: a clamp, a
+/// bucket lookup and a single compare, with no branch. NaN maps to
+/// code 0.
 [[nodiscard]] std::uint8_t quantize_srgb_channel(double linear) noexcept;
 
 /// Fused encode + quantization of a linear RGB pixel; bit-identical to

@@ -75,7 +75,8 @@ struct LinkConfig {
   /// Throws std::invalid_argument unless a simulator can run this
   /// config: the profile, channel, pd and engine validators, a finite
   /// positive LED radiance and rate limit, a symbol rate in
-  /// (0, led.max_symbol_rate_hz] and an illumination ratio in (0, 1].
+  /// (0, led.max_symbol_rate_hz], an illumination ratio in (0, 1] and a
+  /// finite calibration rate (<= 0, or too small to fire, means never).
   /// LinkSimulator's constructor, svc::make_jobs and the svc wire
   /// decoder all run it, so every path rejects the same configs.
   void validate() const;

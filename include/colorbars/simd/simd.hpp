@@ -1,10 +1,11 @@
 #pragma once
 
-// Runtime-dispatched SIMD kernels for the four hottest per-pixel loops
-// of the capture/decode path: RGGB interior demosaic, the Rgb8→Lab LUT
-// reduction inside reduce_to_scanlines, the separable vignette/gain row
-// fill of the frame renders, and the per-band ΔE nearest-reference scan
-// of the symbol decision.
+// Runtime-dispatched SIMD kernels for the hottest per-pixel loops of
+// the capture/decode path: the render's RGGB demosaic straight to sRGB
+// codes, the polar finish of its noise draw and its separable
+// vignette/gain and shot-sigma row fills, the Rgb8→Lab LUT reduction
+// inside reduce_to_scanlines, and the per-band ΔE nearest-reference
+// scan of the symbol decision.
 //
 // The contract is byte-identity: every backend performs, per output
 // element, exactly the scalar reference's IEEE-754 operation sequence
@@ -29,6 +30,8 @@
 // so odd ROI widths and non-16-byte-aligned column starts are safe.
 // Arena-backed rows (util::CaptureArena) are 64-byte aligned anyway,
 // which keeps the common case on the fast path.
+
+#include <cstddef>
 
 #include "colorbars/color/srgb.hpp"
 
@@ -62,14 +65,23 @@ struct RowSums {
   double r = 0.0, g = 0.0, bb = 0.0;  ///< encoded-RGB sums
 };
 
-/// Interior (borderless) RGGB bilinear demosaic: reconstructs rows
-/// [1, rows-1) × columns [1, columns-1) of `rgb_out` (row-major, three
-/// doubles per pixel) from the raw mosaic plane. Border pixels are the
-/// caller's job (camera::demosaic_into's bounds-checked path). The RGGB
-/// phase is relative to `raw`, so a caller may pass a window of rows of
-/// a larger plane that starts on an even row
-/// (camera::demosaic_quantize_into does).
-void demosaic_interior(const double* raw, int rows, int columns, double* rgb_out);
+/// One interior frame row of the RGGB bilinear demosaic, quantized to
+/// 8-bit sRGB: out[c] == color::quantize_srgb(pixel (row, c) of
+/// camera::demosaic) for every c in [0, columns), byte for byte. `mid`
+/// is the row's raw mosaic values, `up` and `down` its neighbours', and
+/// `even_row` its RGGB phase. Columns 0 and columns - 1 use the
+/// fixed-neighbour edge formulas of the bounds-checked path; any
+/// columns >= 1 is valid. The frame's top and bottom rows are the
+/// caller's job (camera::demosaic_quantize_row).
+void demosaic_code_row(const double* up, const double* mid, const double* down,
+                       int columns, bool even_row, color::Rgb8* out);
+
+/// The scalar reference of demosaic_code_row's interior reconstruction,
+/// unquantized and not dispatched: columns [1, columns - 1) of one
+/// interior row as three doubles per pixel, at rgb_out[3c .. 3c + 2].
+/// camera::demosaic_into, the FloatImage reference, runs it.
+void demosaic_interior_row(const double* up, const double* mid, const double* down,
+                           int columns, bool even_row, double* rgb_out);
 
 /// Adds `count` pixels' Lab (fast-chain) and encoded-RGB values into
 /// `sums`, in pixel order — the inner loop of reduce_to_scanlines.
@@ -95,5 +107,12 @@ void shot_sigma_row(const double* signal, int count, double iso_gain,
 /// nearest-reference symbol decision.
 void delta_e_ab_many(const double* ref_a, const double* ref_b, int count,
                      double a, double b, double* out);
+
+/// util::Xoshiro256::polar_finish, bit for bit: `count` accepted polar
+/// pairs (u, v), interleaved at `pairs`, become (u·f, v·f) with
+/// f = sqrt(-2·log(s) / s), s = u·u + v·v. libm's log stays one scalar
+/// call per pair, in pair order; the rest runs in lanes. Pass it to
+/// fill_normal as the finish.
+void polar_finish(double* pairs, std::size_t count);
 
 }  // namespace colorbars::simd

@@ -9,6 +9,7 @@
 // guaranteed-stable output sequence across standard library versions.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -69,12 +70,22 @@ class Xoshiro256 {
   /// Standard normal deviate (Marsaglia polar method, deterministic).
   [[nodiscard]] double normal() noexcept;
 
+  /// The finish of the batched polar method: overwrites `count`
+  /// accepted candidates (u, v), stored as interleaved pairs at `pairs`,
+  /// with (u·f, v·f), where f = sqrt(-2·log(s) / s) and s = u·u + v·v —
+  /// normal()'s own expressions. A replacement (simd::polar_finish) must
+  /// produce the same bits.
+  using PolarFinish = void (*)(double* pairs, std::size_t count);
+
+  /// The reference PolarFinish, pair by pair.
+  static void polar_finish(double* pairs, std::size_t count) noexcept;
+
   /// Fills `out` with exactly the values of out.size() successive
   /// normal() calls and leaves the generator in the same state they
   /// would, cached half-pair included. The batch form exists for speed:
-  /// the polar accept loop runs without a data-dependent branch, and the
-  /// log/sqrt of the accepted pairs runs in a separate tight loop.
-  void fill_normal(std::span<double> out) noexcept;
+  /// the polar accept loop runs without a data-dependent branch, and
+  /// `finish` turns the accepted pairs into deviates in one pass.
+  void fill_normal(std::span<double> out, PolarFinish finish = polar_finish) noexcept;
 
   /// Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept {

@@ -1,6 +1,5 @@
 #include "colorbars/camera/bayer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "colorbars/color/lut.hpp"
@@ -30,64 +29,68 @@ std::vector<double> mosaic(const FloatImage& rgb) {
 
 namespace {
 
+/// The raw rows a pixel's 3x3 neighbourhood reads: the rows above and
+/// below its own, null where the image ends.
+struct RowWindow {
+  const double* up;
+  const double* mid;
+  const double* down;
+};
+
 /// Mean of the raw values at the listed (row, col) offsets that fall
 /// inside the image and whose site matches `channel`.
-double neighbor_mean(std::span<const double> raw, int rows, int columns, int row,
-                     int column, BayerChannel channel) {
+double neighbor_mean(const RowWindow& window, int columns, int row, int column,
+                     BayerChannel channel) {
   static constexpr int kOffsets[8][2] = {{-1, -1}, {-1, 0}, {-1, 1}, {0, -1},
                                          {0, 1},   {1, -1}, {1, 0},  {1, 1}};
+  const double* const source_rows[3] = {window.up, window.mid, window.down};
   double total = 0.0;
   int count = 0;
   for (const auto& offset : kOffsets) {
-    const int r = row + offset[0];
+    const double* source = source_rows[1 + offset[0]];
     const int c = column + offset[1];
-    if (r < 0 || r >= rows || c < 0 || c >= columns) continue;
-    if (bayer_channel(r, c) != channel) continue;
-    total += raw[static_cast<std::size_t>(r) * static_cast<std::size_t>(columns) +
-                 static_cast<std::size_t>(c)];
+    if (source == nullptr || c < 0 || c >= columns) continue;
+    if (bayer_channel(row + offset[0], c) != channel) continue;
+    total += source[c];
     ++count;
   }
   return count > 0 ? total / count : 0.0;
 }
 
-}  // namespace
-
-namespace {
-
-/// Generic (bounds-checked) reconstruction of one pixel; used for the
-/// image border where neighbors may fall outside.
-util::Vec3 demosaic_pixel(std::span<const double> raw, int rows, int columns, int r,
-                          int c) {
-  const double own = raw[static_cast<std::size_t>(r) * static_cast<std::size_t>(columns) +
-                         static_cast<std::size_t>(c)];
+/// Generic (bounds-checked) reconstruction of one pixel: the reference
+/// for the image border, where neighbors may fall outside.
+util::Vec3 demosaic_pixel(const RowWindow& window, int columns, int r, int c) {
+  const double own = window.mid[c];
   util::Vec3 pixel;
   switch (bayer_channel(r, c)) {
     case BayerChannel::kRed:
       pixel.x = own;
-      pixel.y = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kGreen);
-      pixel.z = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kBlue);
+      pixel.y = neighbor_mean(window, columns, r, c, BayerChannel::kGreen);
+      pixel.z = neighbor_mean(window, columns, r, c, BayerChannel::kBlue);
       break;
     case BayerChannel::kGreen:
-      pixel.x = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kRed);
+      pixel.x = neighbor_mean(window, columns, r, c, BayerChannel::kRed);
       pixel.y = own;
-      pixel.z = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kBlue);
+      pixel.z = neighbor_mean(window, columns, r, c, BayerChannel::kBlue);
       break;
     case BayerChannel::kBlue:
-      pixel.x = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kRed);
-      pixel.y = neighbor_mean(raw, rows, columns, r, c, BayerChannel::kGreen);
+      pixel.x = neighbor_mean(window, columns, r, c, BayerChannel::kRed);
+      pixel.y = neighbor_mean(window, columns, r, c, BayerChannel::kGreen);
       pixel.z = own;
       break;
   }
   return pixel;
 }
 
-/// Interior rows reconstructed per simd::demosaic_interior call by the
-/// fused path. Even, so every window starts on an even raw row and the
-/// kernel's window-relative RGGB row phase equals the frame's.
-constexpr int kWindowRows = 8;
+/// Row r's window in a full raw plane.
+RowWindow plane_window(std::span<const double> raw, int rows, int columns, int r) {
+  const double* mid =
+      raw.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(columns);
+  return {r > 0 ? mid - columns : nullptr, mid, r + 1 < rows ? mid + columns : nullptr};
+}
 
 void check_raw_size(std::span<const double> raw, int rows, int columns) {
-  if (raw.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(columns)) {
+  if (raw.size() != checked_image_size(rows, columns)) {
     throw std::invalid_argument("demosaic: raw size does not match dimensions");
   }
 }
@@ -104,66 +107,44 @@ void demosaic_into(const std::vector<double>& raw, int rows, int columns,
                    FloatImage& out) {
   check_raw_size(raw, rows, columns);
   out.resize(rows, columns);
-  FloatImage& rgb = out;
-
-  // Interior fast path: away from the border every RGGB phase has a
-  // fixed in-bounds neighbor set, so the per-neighbor bounds and channel
-  // checks fold away. The kernel's scalar reference accumulates sums in
-  // the same order neighbor_mean visits its offset table, and the vector
-  // backends are proven byte-identical to it, so the result stays
-  // bit-identical to the original loop.
-  if (rows > 2 && columns > 2) {
-    simd::demosaic_interior(raw.data(), rows, columns, &rgb.at(0, 0).x);
+  for (int r = 0; r < rows; ++r) {
+    const RowWindow window = plane_window(raw, rows, columns, r);
+    // Interior columns of interior rows take the scalar reference
+    // segment: away from the border every RGGB phase has a fixed
+    // in-bounds neighbor set, and the segment accumulates in the order
+    // neighbor_mean visits its offset table. Everything else goes
+    // through the generic bounds-checked path.
+    if (window.up != nullptr && window.down != nullptr && columns > 2) {
+      simd::demosaic_interior_row(window.up, window.mid, window.down, columns, r % 2 == 0,
+                                  &out.at(r, 0).x);
+      out.at(r, 0) = demosaic_pixel(window, columns, r, 0);
+      out.at(r, columns - 1) = demosaic_pixel(window, columns, r, columns - 1);
+    } else {
+      for (int c = 0; c < columns; ++c) out.at(r, c) = demosaic_pixel(window, columns, r, c);
+    }
   }
+}
 
-  // Border pixels go through the generic bounds-checked path.
+void demosaic_quantize_row(const double* up, const double* mid, const double* down, int row,
+                           int columns, color::Rgb8* out) {
+  if (up != nullptr && down != nullptr) {
+    simd::demosaic_code_row(up, mid, down, columns, row % 2 == 0, out);
+    return;
+  }
+  const RowWindow window{up, mid, down};
   for (int c = 0; c < columns; ++c) {
-    rgb.at(0, c) = demosaic_pixel(raw, rows, columns, 0, c);
-    if (rows > 1) rgb.at(rows - 1, c) = demosaic_pixel(raw, rows, columns, rows - 1, c);
-  }
-  for (int r = 1; r + 1 < rows; ++r) {
-    rgb.at(r, 0) = demosaic_pixel(raw, rows, columns, r, 0);
-    if (columns > 1) rgb.at(r, columns - 1) = demosaic_pixel(raw, rows, columns, r, columns - 1);
+    out[c] = color::quantize_srgb(demosaic_pixel(window, columns, row, c));
   }
 }
 
 void demosaic_quantize_into(std::span<const double> raw, int rows, int columns,
-                            Frame& out, util::CaptureArena& arena) {
+                            Frame& out) {
   check_raw_size(raw, rows, columns);
   out.resize(rows, columns);
-  const auto width = static_cast<std::size_t>(columns);
-  const auto frame_row = [&](int r) {
-    return std::span<color::Rgb8>(out.pixels).subspan(static_cast<std::size_t>(r) * width,
-                                                      width);
-  };
-  const auto quantize_border_row = [&](int r) {
-    const std::span<color::Rgb8> row = frame_row(r);
-    for (int c = 0; c < columns; ++c) {
-      row[static_cast<std::size_t>(c)] =
-          color::quantize_srgb(demosaic_pixel(raw, rows, columns, r, c));
-    }
-  };
-  quantize_border_row(0);
-  if (rows > 1) quantize_border_row(rows - 1);
-
-  // The kernel writes rows [1, n-1) of an n-row window, so window row 0
-  // is never filled; the interior rows of [first, last) land in rows
-  // [1, last - first + 1).
-  const std::span<util::Vec3> window =
-      arena.allocate<util::Vec3>(static_cast<std::size_t>(kWindowRows + 1) * width);
-  for (int first = 1; first + 1 < rows; first += kWindowRows) {
-    const int last = std::min(first + kWindowRows, rows - 1);
-    if (columns > 2) {
-      simd::demosaic_interior(raw.data() + static_cast<std::size_t>(first - 1) * width,
-                              last - first + 2, columns, &window[0].x);
-    }
-    for (int r = first; r < last; ++r) {
-      const std::span<util::Vec3> row =
-          window.subspan(static_cast<std::size_t>(r - first + 1) * width, width);
-      row[0] = demosaic_pixel(raw, rows, columns, r, 0);
-      if (columns > 1) row[width - 1] = demosaic_pixel(raw, rows, columns, r, columns - 1);
-      color::quantize_srgb_row(row, frame_row(r));
-    }
+  for (int r = 0; r < rows; ++r) {
+    const RowWindow window = plane_window(raw, rows, columns, r);
+    demosaic_quantize_row(window.up, window.mid, window.down, r, columns,
+                          &out.at(r, 0));
   }
 }
 

@@ -109,27 +109,34 @@ struct RowBayerValues {
                         : RowBayerValues{response.y, response.z};
 }
 
+/// Rows of noise drawn per fill_normal call: one draw's odd tail and
+/// set-up are shared by this many rows, and the deviates stay in L1.
+constexpr int kNoiseRows = 8;
+
 /// The back half of every frame render — vignette, Bayer mosaic with
 /// shot/read noise, demosaic, sRGB quantize, metadata stamp — shared by
 /// the single-trace and scene-composite paths. `fill_signal_row(r, out)`
 /// writes the vignetted pre-noise Bayer signal of row r into
 /// out[0..columns) (callers use simd::vignette_signal_span per
 /// constant-response column span). Noise then draws exactly two
-/// rng.normal() per pixel in row-major order (one fill_normal per row,
-/// which is the same sequence), so any path funneled through here keeps
-/// the frozen golden captures byte-identical.
+/// rng.normal() per pixel in row-major order (fill_normal over a few
+/// rows at a time, which is the same sequence), so any path funneled
+/// through here keeps the frozen golden captures byte-identical.
+///
+/// Rows stream from the draw to 8-bit codes: once raw row r exists,
+/// row r - 1 has both neighbours and is encoded, so the mosaic lives in
+/// a window of three raw rows and never as a plane.
 template <typename FillSignalRow>
 void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSettings& settings,
                        double start_time_s, int frame_index, FillSignalRow&& fill_signal_row,
                        util::Xoshiro256& rng, Frame& out, RenderScratch& scratch) {
   const SensorProfile& profile = camera.profile();
   const double iso_gain = settings.iso / 100.0;
+  const int rows = profile.rows;
   const int columns = profile.columns;
   const auto width = static_cast<std::size_t>(columns);
-
-  std::vector<double>& raw = scratch.raw;
-  raw.resize(checked_image_size(profile.rows, columns));
   const double read_sigma = profile.read_noise * iso_gain;
+  out.resize(rows, columns);
 
   // Row-shaped transients come from the per-frame arena: 64-byte
   // aligned (SIMD fast path) and recycled across frames without
@@ -137,27 +144,43 @@ void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSetting
   scratch.arena.reset();
   const std::span<double> signal_row = scratch.arena.allocate<double>(width);
   const std::span<double> sigma_row = scratch.arena.allocate<double>(width);
-  const std::span<double> normals = scratch.arena.allocate<double>(2 * width);
+  const std::span<double> normals = scratch.arena.allocate<double>(2 * width * kNoiseRows);
+  const std::span<double> window = scratch.arena.allocate<double>(3 * width);
+  const auto raw_row = [&](int r) {
+    return window.data() + static_cast<std::size_t>(r % 3) * width;
+  };
+  const auto encode_row = [&](int r) {
+    demosaic_quantize_row(r > 0 ? raw_row(r - 1) : nullptr, raw_row(r),
+                          r + 1 < rows ? raw_row(r + 1) : nullptr, r, columns,
+                          out.pixels.data() + static_cast<std::size_t>(r) * width);
+  };
 
-  for (int r = 0; r < profile.rows; ++r) {
-    fill_signal_row(r, signal_row.data());
-    simd::shot_sigma_row(signal_row.data(), columns, iso_gain, profile.well_capacity,
-                         sigma_row.data());
-    rng.fill_normal(normals);
-    double* raw_row = raw.data() + static_cast<std::size_t>(r) * width;
-    for (std::size_t c = 0; c < width; ++c) {
-      const double noisy =
-          signal_row[c] + normals[2 * c] * sigma_row[c] + normals[2 * c + 1] * read_sigma;
-      raw_row[c] = std::clamp(noisy, 0.0, 1.0);
+  for (int first = 0; first < rows; first += kNoiseRows) {
+    const int count = std::min(kNoiseRows, rows - first);
+    rng.fill_normal(normals.first(2 * width * static_cast<std::size_t>(count)),
+                    simd::polar_finish);
+    for (int r = first; r < first + count; ++r) {
+      fill_signal_row(r, signal_row.data());
+      simd::shot_sigma_row(signal_row.data(), columns, iso_gain, profile.well_capacity,
+                           sigma_row.data());
+      const double* row_normals =
+          normals.data() + 2 * width * static_cast<std::size_t>(r - first);
+      double* raw = raw_row(r);
+      for (std::size_t c = 0; c < width; ++c) {
+        const double noisy = signal_row[c] + row_normals[2 * c] * sigma_row[c] +
+                             row_normals[2 * c + 1] * read_sigma;
+        raw[c] = std::clamp(noisy, 0.0, 1.0);
+      }
+      if (r > 0) encode_row(r - 1);
     }
   }
+  encode_row(rows - 1);
 
   out.start_time_s = start_time_s;
   out.row_time_s = profile.row_time_s();
   out.exposure_s = settings.exposure_s;
   out.iso = settings.iso;
   out.frame_index = frame_index;
-  demosaic_quantize_into(raw, profile.rows, columns, out, scratch.arena);
 }
 
 }  // namespace

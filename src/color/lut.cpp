@@ -7,6 +7,10 @@
 
 #include "colorbars/color/cie.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace colorbars::color {
 
 namespace {
@@ -69,72 +73,88 @@ std::uint8_t reference_srgb_code(double linear) noexcept {
   return static_cast<std::uint8_t>(std::lround(encoded * 255.0));
 }
 
-// Code-decision boundaries plus a bucket accelerator. boundaries[c] is
-// the smallest double whose reference code is >= c+1, found by bisection
-// (the encode chain is monotone); boundaries[255] is a +inf sentinel.
-// bucket_floor[k] is the code at k/4096. The encode slope never exceeds
-// 12.92, so there are at most 12.92 * 255 ~ 3295 codes per unit — fewer
-// than the 4096 buckets — and each bucket holds at most one boundary
-// above its floor: one compare finishes every lookup. The constructor
-// checks that invariant, so a table change that breaks it terminates the
-// program at the first lookup instead of silently misquantizing.
-struct QuantTables {
-  static constexpr int kBuckets = 4096;
+// The per-bucket quantizer tables (lut.hpp). The code boundaries are
+// found by bisection: boundaries[c] is the smallest double whose
+// reference code is >= c+1 (the encode chain is monotone), and
+// boundaries[255] is a +inf sentinel. Each bucket then stores its floor
+// code and the boundary just above it, so a lookup reads two entries
+// indexed by the bucket alone instead of a floor and then the boundary
+// that floor names. The encode slope never exceeds 12.92, so there are
+// at most 12.92 * 255 ~ 3295 codes per unit — fewer than the 4096
+// buckets — and each bucket holds at most one boundary above its floor:
+// one compare finishes every lookup. This function checks that
+// invariant, so a table change that breaks it terminates the program at
+// the first lookup instead of silently misquantizing.
+SrgbQuantTables build_quant_tables() {
+  constexpr int kBuckets = SrgbQuantTables::kBuckets;
   std::array<double, 256> boundaries{};
-  std::array<std::uint8_t, kBuckets + 1> bucket_floor{};
-  QuantTables() {
-    for (int code = 0; code < 255; ++code) {
-      double lo = 0.0;   // reference code 0 <= code
-      double hi = 1.0;   // reference code 255 >= code+1
-      for (;;) {
-        const double mid = 0.5 * (lo + hi);
-        if (mid <= lo || mid >= hi) break;
-        if (reference_srgb_code(mid) >= code + 1) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
+  for (int code = 0; code < 255; ++code) {
+    double lo = 0.0;   // reference code 0 <= code
+    double hi = 1.0;   // reference code 255 >= code+1
+    for (;;) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      if (reference_srgb_code(mid) >= code + 1) {
+        hi = mid;
+      } else {
+        lo = mid;
       }
-      boundaries[static_cast<std::size_t>(code)] = hi;
     }
-    boundaries[255] = std::numeric_limits<double>::infinity();
-    for (int k = 0; k <= kBuckets; ++k) {
-      const double x = static_cast<double>(k) / kBuckets;
-      const auto below = std::upper_bound(boundaries.begin(), boundaries.end() - 1, x);
-      bucket_floor[static_cast<std::size_t>(k)] =
-          static_cast<std::uint8_t>(below - boundaries.begin());
-    }
-    // Bucket k covers [k/4096, (k+1)/4096). boundaries[floor] is the
-    // first boundary above its start; the next one must lie at or past
-    // its end.
-    for (int k = 0; k < kBuckets; ++k) {
-      const std::size_t second = bucket_floor[static_cast<std::size_t>(k)] + 1U;
-      if (second < 255 &&
-          boundaries[second] < static_cast<double>(k + 1) / kBuckets) {
-        throw std::logic_error("QuantTables: a bucket holds two code boundaries");
-      }
+    boundaries[static_cast<std::size_t>(code)] = hi;
+  }
+  boundaries[255] = std::numeric_limits<double>::infinity();
+  SrgbQuantTables tables;
+  for (int k = 0; k <= kBuckets; ++k) {
+    const double x = static_cast<double>(k) / kBuckets;
+    const auto below = std::upper_bound(boundaries.begin(), boundaries.end() - 1, x);
+    const auto floor = static_cast<std::size_t>(below - boundaries.begin());
+    tables.bucket_floor[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(floor);
+    tables.bucket_boundary[static_cast<std::size_t>(k)] = boundaries[floor];
+    // Bucket k covers [k/4096, (k+1)/4096): the boundary after the
+    // stored one must lie at or past its end.
+    if (k < kBuckets && floor + 1 < 255 &&
+        boundaries[floor + 1] < static_cast<double>(k + 1) / kBuckets) {
+      throw std::logic_error("SrgbQuantTables: a bucket holds two code boundaries");
     }
   }
-};
-
-const QuantTables& quant_tables() noexcept {
-  static const QuantTables tables;
   return tables;
 }
 
-/// The single-compare lookup. std::max(0.0, NaN) is 0.0, so NaN takes
-/// code 0 like every non-positive input and the bucket index can never
-/// leave the table. The index converts through int, one instruction on
-/// x86-64 where a size_t conversion needs a range branch (x * 4096 is at
-/// most 4096).
-inline std::uint8_t quantize_code(const QuantTables& tables, double linear) noexcept {
-  const double x = std::min(std::max(0.0, linear), 1.0);
-  const auto bucket = static_cast<std::size_t>(static_cast<int>(x * QuantTables::kBuckets));
-  const std::uint8_t floor = tables.bucket_floor[bucket];
-  return static_cast<std::uint8_t>(floor + (tables.boundaries[floor] <= x ? 1 : 0));
+/// linear clamped to [0, 1], with NaN and every non-positive input
+/// (-0.0 included) at +0.0: std::min(std::max(0.0, linear), 1.0), bit
+/// for bit, without a branch. Compilers keep that pair as two
+/// compare-and-branch pairs on x86, and a rendered frame puts several
+/// percent of its channels exactly on a clamp. maxsd returns its second
+/// operand when either input is NaN or both are zeros, and minsd
+/// likewise, so with the operands in this order they are exactly the
+/// std:: pair. SSE2 is baseline on x86-64; other targets compile the
+/// portable pair.
+inline double clamp_unit(double linear) noexcept {
+#if defined(__SSE2__)
+  const __m128d low = _mm_max_sd(_mm_set_sd(linear), _mm_setzero_pd());
+  return _mm_cvtsd_f64(_mm_min_sd(low, _mm_set_sd(1.0)));
+#else
+  return std::min(std::max(0.0, linear), 1.0);
+#endif
+}
+
+/// The branch-free lookup (SrgbQuantTables). The clamp keeps x * 4096
+/// in [0, 4096], so the bucket index never leaves the tables. The
+/// index converts through int, one instruction on x86-64 where a
+/// size_t conversion needs a range branch.
+inline std::uint8_t quantize_code(const SrgbQuantTables& tables, double linear) noexcept {
+  const double x = clamp_unit(linear);
+  const auto bucket = static_cast<std::size_t>(static_cast<int>(x * SrgbQuantTables::kBuckets));
+  return static_cast<std::uint8_t>(tables.bucket_floor[bucket] +
+                                   (tables.bucket_boundary[bucket] <= x ? 1 : 0));
 }
 
 }  // namespace
+
+const SrgbQuantTables& srgb_quant_tables() noexcept {
+  static const SrgbQuantTables tables = build_quant_tables();
+  return tables;
+}
 
 const std::array<double, kLabFTableSamples>& lab_f_table_values() noexcept {
   return lab_f_table().values;
@@ -186,17 +206,17 @@ Lab rgb8_to_lab_fast(const Rgb8& pixel) noexcept {
 }
 
 std::uint8_t quantize_srgb_channel(double linear) noexcept {
-  return quantize_code(quant_tables(), linear);
+  return quantize_code(srgb_quant_tables(), linear);
 }
 
 Rgb8 quantize_srgb(const Vec3& linear) noexcept {
-  const QuantTables& tables = quant_tables();
+  const SrgbQuantTables& tables = srgb_quant_tables();
   return {quantize_code(tables, linear.x), quantize_code(tables, linear.y),
           quantize_code(tables, linear.z)};
 }
 
 void quantize_srgb_row(std::span<const Vec3> linear, std::span<Rgb8> out) noexcept {
-  const QuantTables& tables = quant_tables();
+  const SrgbQuantTables& tables = srgb_quant_tables();
   const std::size_t count = std::min(linear.size(), out.size());
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = {quantize_code(tables, linear[i].x), quantize_code(tables, linear[i].y),

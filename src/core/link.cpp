@@ -70,6 +70,10 @@ void LinkConfig::validate() const {
   if (!(illumination_ratio > 0.0) || !(illumination_ratio <= 1.0)) {
     throw std::invalid_argument("LinkConfig: illumination_ratio must be in (0, 1]");
   }
+  if (!std::isfinite(calibration_rate_hz)) {
+    throw std::invalid_argument(
+        "LinkConfig: calibration_rate_hz must be finite (<= 0 means never)");
+  }
 }
 
 rs::CodeParameters LinkConfig::code() const {

@@ -11,7 +11,14 @@
 // AVX2-compiled copy of an epilogue into the scalar backend that a
 // non-AVX CPU runs. The duplication is a few hundred bytes per TU.
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "colorbars/color/lut.hpp"
 #include "colorbars/simd/simd.hpp"
@@ -19,7 +26,8 @@
 namespace colorbars::simd::detail {
 
 struct KernelTable {
-  void (*demosaic_interior)(const double* raw, int rows, int columns, double* rgb_out);
+  void (*demosaic_code_row)(const double* up, const double* mid, const double* down,
+                            int columns, bool even_row, color::Rgb8* out);
   void (*row_lab_rgb_sums)(const color::Rgb8* pixels, int count, RowSums& sums);
   void (*vignette_signal_span)(const double* col2, int column_begin, int column_end,
                                double row2, double strength, double value_even,
@@ -28,6 +36,7 @@ struct KernelTable {
                          double well_capacity, double* out);
   void (*delta_e_ab_many)(const double* ref_a, const double* ref_b, int count,
                           double a, double b, double* out);
+  void (*polar_finish)(double* pairs, std::size_t count);
 };
 
 extern const KernelTable kScalarKernels;
@@ -76,18 +85,15 @@ const LabLut& lab_lut() noexcept;
 
 namespace {
 
-/// Scalar reference of one demosaic row segment [c_begin, c_end) —
-/// verbatim the interior fast path of camera::demosaic_into (same
-/// accumulation order, same divisions), writing three doubles per pixel.
-[[maybe_unused]] void demosaic_row_segment(const double* raw, int columns, int r,
-                                           int c_begin, int c_end, double* rgb_out) {
-  const double* up = raw + static_cast<std::size_t>(r - 1) * static_cast<std::size_t>(columns);
-  const double* mid = up + columns;
-  const double* down = mid + columns;
-  const bool even_row = (r % 2) == 0;
-  double* out = rgb_out + (static_cast<std::size_t>(r) * static_cast<std::size_t>(columns) +
-                           static_cast<std::size_t>(c_begin)) * 3;
-  for (int c = c_begin; c < c_end; ++c, out += 3) {
+/// The bilinear demosaic of pixels [c_begin, c_end) of an interior row,
+/// 0 < c_begin and c_end < columns, from the raw row and its two
+/// neighbours: verbatim the reconstruction the render has always run
+/// (same accumulation order, same divisions). Each pixel's (red, green,
+/// blue) goes to sink(c, red, green, blue).
+template <typename Sink>
+void demosaic_segment(const double* up, const double* mid, const double* down,
+                      bool even_row, int c_begin, int c_end, Sink&& sink) {
+  for (int c = c_begin; c < c_end; ++c) {
     const double own = mid[c];
     const bool even_col = (c % 2) == 0;
     if (even_row && even_col) {  // red site
@@ -99,9 +105,7 @@ namespace {
       blue += up[c + 1];
       blue += down[c - 1];
       blue += down[c + 1];
-      out[0] = own;
-      out[1] = green / 4;
-      out[2] = blue / 4;
+      sink(c, own, green / 4, blue / 4);
     } else if (!even_row && !even_col) {  // blue site
       double red = up[c - 1];
       red += up[c + 1];
@@ -111,27 +115,113 @@ namespace {
       green += mid[c - 1];
       green += mid[c + 1];
       green += down[c];
-      out[0] = red / 4;
-      out[1] = green / 4;
-      out[2] = own;
+      sink(c, red / 4, green / 4, own);
     } else if (even_row) {  // green site between reds horizontally
       double red = mid[c - 1];
       red += mid[c + 1];
       double blue = up[c];
       blue += down[c];
-      out[0] = red / 2;
-      out[1] = own;
-      out[2] = blue / 2;
+      sink(c, red / 2, own, blue / 2);
     } else {  // green site between reds vertically
       double red = up[c];
       red += down[c];
       double blue = mid[c - 1];
       blue += mid[c + 1];
-      out[0] = red / 2;
-      out[1] = own;
-      out[2] = blue / 2;
+      sink(c, red / 2, own, blue / 2);
     }
   }
+}
+
+/// Column c = 0 or columns - 1 of an interior row. Only the neighbours
+/// inside the image count, and each mean is the bounds-checked
+/// camera::demosaic_pixel's arithmetic: a sum from 0.0 over its offset
+/// table's order (row above, own row, row below), divided by the
+/// count. `n` is the one horizontal neighbour column, or -1 at width 1.
+/// The four sites, with v = (0 + up[c] + down[c]) / 2:
+///   red   (even row, even c): own, (0 + up[c] + mid[n] + down[c]) / 3,
+///                             (0 + up[n] + down[n]) / 2
+///   green (even row, odd c):  0 + mid[n], own, v
+///   green (odd row, even c):  v, own, 0 + mid[n]
+///   blue  (odd row, odd c):   (0 + up[n] + down[n]) / 2,
+///                             (0 + up[c] + mid[n] + down[c]) / 3, own
+/// At width 1 (n = -1, c = 0) a red site's green is v and its blue 0,
+/// and a green site's blue is 0.
+[[maybe_unused]] inline void demosaic_edge_pixel(const double* up, const double* mid,
+                                                 const double* down, int c, int n,
+                                                 bool even_row, double rgb[3]) {
+  const double own = mid[c];
+  const double vertical = (0.0 + up[c] + down[c]) / 2;
+  const bool even_col = (c % 2) == 0;
+  if (n < 0) {
+    rgb[0] = even_row ? own : vertical;
+    rgb[1] = even_row ? vertical : own;
+    rgb[2] = 0.0;
+  } else if (even_row && even_col) {
+    rgb[0] = own;
+    rgb[1] = (0.0 + up[c] + mid[n] + down[c]) / 3;
+    rgb[2] = (0.0 + up[n] + down[n]) / 2;
+  } else if (even_row) {
+    rgb[0] = 0.0 + mid[n];
+    rgb[1] = own;
+    rgb[2] = vertical;
+  } else if (even_col) {
+    rgb[0] = vertical;
+    rgb[1] = own;
+    rgb[2] = 0.0 + mid[n];
+  } else {
+    rgb[0] = (0.0 + up[n] + down[n]) / 2;
+    rgb[1] = (0.0 + up[c] + mid[n] + down[c]) / 3;
+    rgb[2] = own;
+  }
+}
+
+/// color::quantize_srgb_channel, verbatim: the branch-free clamp to
+/// [0, 1] (NaN and -0.0 to +0.0; maxsd and minsd are the std:: pair
+/// with these operand orders, see lut.cpp) and the two-load bucket
+/// lookup (color::SrgbQuantTables).
+[[maybe_unused]] inline std::uint8_t srgb_code(const color::SrgbQuantTables& tables,
+                                               double linear) {
+#if defined(__SSE2__)
+  const __m128d low = _mm_max_sd(_mm_set_sd(linear), _mm_setzero_pd());
+  const double x = _mm_cvtsd_f64(_mm_min_sd(low, _mm_set_sd(1.0)));
+#else
+  const double x = std::min(std::max(0.0, linear), 1.0);
+#endif
+  const auto bucket =
+      static_cast<std::size_t>(static_cast<int>(x * color::SrgbQuantTables::kBuckets));
+  return static_cast<std::uint8_t>(tables.bucket_floor[bucket] +
+                                   (tables.bucket_boundary[bucket] <= x ? 1 : 0));
+}
+
+/// Scalar reference of the code kernel over interior columns
+/// [c_begin, c_end): demosaic_segment, each channel quantized.
+[[maybe_unused]] void demosaic_code_segment(const double* up, const double* mid,
+                                            const double* down, bool even_row, int c_begin,
+                                            int c_end, color::Rgb8* out) {
+  const color::SrgbQuantTables& tables = color::srgb_quant_tables();
+  demosaic_segment(up, mid, down, even_row, c_begin, c_end,
+                   [&](int c, double red, double green, double blue) {
+                     color::Rgb8& pixel = out[c];
+                     pixel.r = srgb_code(tables, red);
+                     pixel.g = srgb_code(tables, green);
+                     pixel.b = srgb_code(tables, blue);
+                   });
+}
+
+/// Columns 0 and columns - 1 of an interior row, quantized; every
+/// backend runs this for its edges.
+[[maybe_unused]] void demosaic_code_edges(const double* up, const double* mid,
+                                          const double* down, int columns, bool even_row,
+                                          color::Rgb8* out) {
+  const color::SrgbQuantTables& tables = color::srgb_quant_tables();
+  const auto encode = [&](int c, int n) {
+    double rgb[3];
+    demosaic_edge_pixel(up, mid, down, c, n, even_row, rgb);
+    out[c] = {srgb_code(tables, rgb[0]), srgb_code(tables, rgb[1]),
+              srgb_code(tables, rgb[2])};
+  };
+  encode(0, columns > 1 ? 1 : -1);
+  if (columns > 1) encode(columns - 1, columns - 2);
 }
 
 /// True for pure white, the one pixel whose Lab the row reduction

@@ -7,92 +7,108 @@
 // back to the scalar segment helpers for the sub-width head/tail of any
 // range, so odd widths and unaligned column starts are handled without
 // masked or aligned loads. In the Lab row reduction a lane is one
-// component of one pixel, so it has no tail at all.
+// component of one pixel, so it has no tail at all. The demosaic→code
+// row computes its means and the quantizer's clamp and bucket index in
+// lanes, then reads the quantizer tables per channel; the polar finish
+// puts four pairs in lanes around four scalar libm log calls.
 
 #include <immintrin.h>
 
+#include "colorbars/util/rng.hpp"
 #include "kernels.hpp"
 
 namespace colorbars::simd::detail {
 
 namespace {
 
-void demosaic_interior_avx2(const double* raw, int rows, int columns, double* rgb_out) {
+void demosaic_code_row_avx2(const double* up, const double* mid, const double* down,
+                            int columns, bool even_row, color::Rgb8* out) {
+  demosaic_code_edges(up, mid, down, columns, even_row, out);
+  const color::SrgbQuantTables& tables = color::srgb_quant_tables();
   // The reference divides by 4.0 and 2.0; multiplying by 0.25 / 0.5 is
   // bit-identical (power-of-two reciprocals are exact, and correctly
   // rounding the same real value gives the same double) and trades the
   // non-pipelined divider for one multiply per mean.
-  if (rows <= 2 || columns <= 2) return;
   const __m256d quarter = _mm256_set1_pd(0.25);
   const __m256d half = _mm256_set1_pd(0.5);
-  for (int r = 1; r + 1 < rows; ++r) {
-    const double* up =
-        raw + static_cast<std::size_t>(r - 1) * static_cast<std::size_t>(columns);
-    const double* mid = up + columns;
-    const double* down = mid + columns;
-    const bool even_row = (r % 2) == 0;
-    double* out_row = rgb_out + static_cast<std::size_t>(r) *
-                                    static_cast<std::size_t>(columns) * 3;
-    int c = 1;
-    // Lane block [c, c+4) reads columns [c-1, c+4]; the last full block
-    // ends at columns-2, so every load stays inside the row.
-    for (; c + 3 <= columns - 2; c += 4) {
-      const __m256d up_l = _mm256_loadu_pd(up + c - 1);
-      const __m256d up_m = _mm256_loadu_pd(up + c);
-      const __m256d up_r = _mm256_loadu_pd(up + c + 1);
-      const __m256d mid_l = _mm256_loadu_pd(mid + c - 1);
-      const __m256d own = _mm256_loadu_pd(mid + c);
-      const __m256d mid_r = _mm256_loadu_pd(mid + c + 1);
-      const __m256d down_l = _mm256_loadu_pd(down + c - 1);
-      const __m256d down_m = _mm256_loadu_pd(down + c);
-      const __m256d down_r = _mm256_loadu_pd(down + c + 1);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d buckets = _mm256_set1_pd(color::SrgbQuantTables::kBuckets);
+  int c = 1;
+  // Lane block [c, c+4) reads columns [c-1, c+4]; the last full block
+  // ends at columns-2, so every load stays inside the row.
+  for (; c + 3 <= columns - 2; c += 4) {
+    const __m256d up_l = _mm256_loadu_pd(up + c - 1);
+    const __m256d up_m = _mm256_loadu_pd(up + c);
+    const __m256d up_r = _mm256_loadu_pd(up + c + 1);
+    const __m256d mid_l = _mm256_loadu_pd(mid + c - 1);
+    const __m256d own = _mm256_loadu_pd(mid + c);
+    const __m256d mid_r = _mm256_loadu_pd(mid + c + 1);
+    const __m256d down_l = _mm256_loadu_pd(down + c - 1);
+    const __m256d down_m = _mm256_loadu_pd(down + c);
+    const __m256d down_r = _mm256_loadu_pd(down + c + 1);
 
-      // The four neighbor means of the scalar reference, with its exact
-      // accumulation order: ((up + left) + right) + down for the plus
-      // pattern, ((ul + ur) + dl) + dr for the diagonals.
-      const __m256d g4 = _mm256_mul_pd(
-          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(up_m, mid_l), mid_r), down_m),
-          quarter);
-      const __m256d diag4 = _mm256_mul_pd(
-          _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(up_l, up_r), down_l), down_r),
-          quarter);
-      const __m256d horiz2 = _mm256_mul_pd(_mm256_add_pd(mid_l, mid_r), half);
-      const __m256d vert2 = _mm256_mul_pd(_mm256_add_pd(up_m, down_m), half);
+    // The four neighbor means of the scalar reference, with its exact
+    // accumulation order: ((up + left) + right) + down for the plus
+    // pattern, ((ul + ur) + dl) + dr for the diagonals.
+    const __m256d g4 = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(up_m, mid_l), mid_r), down_m), quarter);
+    const __m256d diag4 = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(up_l, up_r), down_l), down_r), quarter);
+    const __m256d horiz2 = _mm256_mul_pd(_mm256_add_pd(mid_l, mid_r), half);
+    const __m256d vert2 = _mm256_mul_pd(_mm256_add_pd(up_m, down_m), half);
 
-      // c starts odd and steps by 4, so lanes 0,2 are odd columns and
-      // lanes 1,3 even ones — blend mask 0b1010 picks the even-column
-      // phase.
-      __m256d x, y, z;
-      if (even_row) {
-        // even col: red site {own, g4, diag4}; odd col: green site
-        // {horiz2, own, vert2}.
-        x = _mm256_blend_pd(horiz2, own, 0b1010);
-        y = _mm256_blend_pd(own, g4, 0b1010);
-        z = _mm256_blend_pd(vert2, diag4, 0b1010);
-      } else {
-        // even col: green site {vert2, own, horiz2}; odd col: blue site
-        // {diag4, g4, own}.
-        x = _mm256_blend_pd(diag4, vert2, 0b1010);
-        y = _mm256_blend_pd(g4, own, 0b1010);
-        z = _mm256_blend_pd(own, horiz2, 0b1010);
-      }
-
-      // SoA -> AoS: in-lane interleaves, then six 128-bit half stores —
-      // vextractf128-to-memory is a plain store uop, so this avoids the
-      // three cross-lane permutes an all-256-bit store path needs.
-      const __m256d xy_lo = _mm256_unpacklo_pd(x, y);      // x0 y0 | x2 y2
-      const __m256d zx = _mm256_shuffle_pd(z, x, 0b1010);  // z0 x1 | z2 x3
-      const __m256d yz = _mm256_shuffle_pd(y, z, 0b1111);  // y1 z1 | y3 z3
-      double* out = out_row + static_cast<std::size_t>(c) * 3;
-      _mm_storeu_pd(out, _mm256_castpd256_pd128(xy_lo));        // x0 y0
-      _mm_storeu_pd(out + 2, _mm256_castpd256_pd128(zx));       // z0 x1
-      _mm_storeu_pd(out + 4, _mm256_castpd256_pd128(yz));       // y1 z1
-      _mm_storeu_pd(out + 6, _mm256_extractf128_pd(xy_lo, 1));  // x2 y2
-      _mm_storeu_pd(out + 8, _mm256_extractf128_pd(zx, 1));     // z2 x3
-      _mm_storeu_pd(out + 10, _mm256_extractf128_pd(yz, 1));    // y3 z3
+    // c starts odd and steps by 4, so lanes 0,2 are odd columns and
+    // lanes 1,3 even ones — blend mask 0b1010 picks the even-column
+    // phase.
+    __m256d red, green, blue;
+    if (even_row) {
+      // even col: red site {own, g4, diag4}; odd col: green site
+      // {horiz2, own, vert2}.
+      red = _mm256_blend_pd(horiz2, own, 0b1010);
+      green = _mm256_blend_pd(own, g4, 0b1010);
+      blue = _mm256_blend_pd(vert2, diag4, 0b1010);
+    } else {
+      // even col: green site {vert2, own, horiz2}; odd col: blue site
+      // {diag4, g4, own}.
+      red = _mm256_blend_pd(diag4, vert2, 0b1010);
+      green = _mm256_blend_pd(g4, own, 0b1010);
+      blue = _mm256_blend_pd(own, horiz2, 0b1010);
     }
-    if (c < columns - 1) demosaic_row_segment(raw, columns, r, c, columns - 1, rgb_out);
+
+    // srgb_code in lanes up to its table reads. maxpd returns its second
+    // operand when either input is NaN or both are zeros, so NaN and
+    // -0.0 clamp to +0.0 exactly as the scalar clamp does.
+    alignas(32) double clamped[3][4];
+    alignas(16) std::int32_t bucket[3][4];
+    const auto clamp_and_index = [&](__m256d value, int k) {
+      const __m256d x = _mm256_min_pd(_mm256_max_pd(value, zero), one);
+      _mm256_store_pd(clamped[k], x);
+      _mm_store_si128(reinterpret_cast<__m128i*>(bucket[k]),
+                      _mm256_cvttpd_epi32(_mm256_mul_pd(x, buckets)));
+    };
+    clamp_and_index(red, 0);
+    clamp_and_index(green, 1);
+    clamp_and_index(blue, 2);
+    // The two loads and the compare per channel stay scalar: gathers
+    // measured no faster.
+    const auto code = [&](int k, int lane) {
+      const auto b = static_cast<std::size_t>(bucket[k][lane]);
+      return static_cast<std::uint8_t>(tables.bucket_floor[b] +
+                                       (tables.bucket_boundary[b] <= clamped[k][lane] ? 1 : 0));
+    };
+    const auto encode = [&](int lane) {
+      color::Rgb8& pixel = out[c + lane];
+      pixel.r = code(0, lane);
+      pixel.g = code(1, lane);
+      pixel.b = code(2, lane);
+    };
+    encode(0);
+    encode(1);
+    encode(2);
+    encode(3);
   }
+  demosaic_code_segment(up, mid, down, even_row, c, columns - 1, out);
 }
 
 void row_lab_rgb_sums_avx2(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -216,11 +232,41 @@ void delta_e_ab_avx2(const double* ref_a, const double* ref_b, int count, double
   delta_e_ab_segment(ref_a + i, ref_b + i, count - i, a, b, out + i);
 }
 
+void polar_finish_avx2(double* pairs, std::size_t count) {
+  // Four pairs per step. libm's log stays a scalar call, one pair at a
+  // time in pair order; the quotient, the square root and the two
+  // products run in lanes with normal()'s operation order.
+  const __m256d minus_two = _mm256_set1_pd(-2.0);
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    double* p = pairs + 2 * k;
+    const __m256d lo = _mm256_loadu_pd(p);         // u0 v0 u1 v1
+    const __m256d hi = _mm256_loadu_pd(p + 4);     // u2 v2 u3 v3
+    const __m256d u = _mm256_unpacklo_pd(lo, hi);  // u0 u2 u1 u3
+    const __m256d v = _mm256_unpackhi_pd(lo, hi);  // v0 v2 v1 v3
+    const __m256d s = _mm256_add_pd(_mm256_mul_pd(u, u), _mm256_mul_pd(v, v));
+    alignas(32) double s_lanes[4];
+    _mm256_store_pd(s_lanes, s);
+    const double log0 = std::log(s_lanes[0]);
+    const double log1 = std::log(s_lanes[2]);
+    const double log2 = std::log(s_lanes[1]);
+    const double log3 = std::log(s_lanes[3]);
+    const __m256d log_s = _mm256_set_pd(log3, log1, log2, log0);  // s's lane order
+    const __m256d factor =
+        _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(minus_two, log_s), s));
+    const __m256d u_out = _mm256_mul_pd(u, factor);
+    const __m256d v_out = _mm256_mul_pd(v, factor);
+    _mm256_storeu_pd(p, _mm256_unpacklo_pd(u_out, v_out));      // u0 v0 u1 v1
+    _mm256_storeu_pd(p + 4, _mm256_unpackhi_pd(u_out, v_out));  // u2 v2 u3 v3
+  }
+  util::Xoshiro256::polar_finish(pairs + 2 * k, count - k);
+}
+
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
-    demosaic_interior_avx2, row_lab_rgb_sums_avx2, vignette_signal_avx2,
-    shot_sigma_avx2,        delta_e_ab_avx2,
+    demosaic_code_row_avx2, row_lab_rgb_sums_avx2, vignette_signal_avx2,
+    shot_sigma_avx2,        delta_e_ab_avx2,       polar_finish_avx2,
 };
 
 }  // namespace colorbars::simd::detail

@@ -1,28 +1,29 @@
 // NEON (AArch64) backend: 2 double lanes for the pointwise kernels
-// (vignette, shot sigma, ΔE). The gather-heavy demosaic and Lab
-// reduction kernels stay on the scalar reference here — NEON has no
-// double-precision gather and the scalar LUT chain is already
-// load-bound — so this backend's table routes them to the scalar
-// segments. Compiled only when the build targets AArch64
-// (COLORBARS_SIMD_NEON); byte-identity follows the same no-FMA,
-// same-operation-order argument as the x86 backends (vmul/vadd are the
-// separately-rounded instructions, vfma is never emitted from these
-// intrinsics).
+// (vignette, shot sigma, ΔE). The table-bound demosaic→code and Lab
+// reduction kernels and the polar finish stay on the scalar reference
+// here — NEON has no double-precision gather, the scalar LUT chains are
+// already load-bound, and nothing has timed a NEON build on silicon —
+// so this backend's table routes them to the scalar segments. Compiled
+// only when the build targets AArch64 (COLORBARS_SIMD_NEON);
+// byte-identity follows the same no-FMA, same-operation-order argument
+// as the x86 backends (vmul/vadd are the separately-rounded
+// instructions, vfma is never emitted from these intrinsics).
 
 #if defined(COLORBARS_SIMD_NEON)
 
 #include <arm_neon.h>
 
+#include "colorbars/util/rng.hpp"
 #include "kernels.hpp"
 
 namespace colorbars::simd::detail {
 
 namespace {
 
-void demosaic_interior_neon(const double* raw, int rows, int columns, double* rgb_out) {
-  for (int r = 1; r + 1 < rows; ++r) {
-    demosaic_row_segment(raw, columns, r, 1, columns - 1, rgb_out);
-  }
+void demosaic_code_row_neon(const double* up, const double* mid, const double* down,
+                            int columns, bool even_row, color::Rgb8* out) {
+  demosaic_code_edges(up, mid, down, columns, even_row, out);
+  demosaic_code_segment(up, mid, down, even_row, 1, columns - 1, out);
 }
 
 void row_lab_rgb_sums_neon(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -84,8 +85,8 @@ void delta_e_ab_neon(const double* ref_a, const double* ref_b, int count, double
 }  // namespace
 
 const KernelTable kNeonKernels = {
-    demosaic_interior_neon, row_lab_rgb_sums_neon, vignette_signal_neon,
-    shot_sigma_neon,        delta_e_ab_neon,
+    demosaic_code_row_neon, row_lab_rgb_sums_neon, vignette_signal_neon,
+    shot_sigma_neon,        delta_e_ab_neon,       util::Xoshiro256::polar_finish,
 };
 
 }  // namespace colorbars::simd::detail

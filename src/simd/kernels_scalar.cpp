@@ -2,17 +2,17 @@
 // must match bit-for-bit. These are the exact loops the call sites ran
 // before the simd layer existed, moved behind the dispatch table.
 
+#include "colorbars/util/rng.hpp"
 #include "kernels.hpp"
 
 namespace colorbars::simd::detail {
 
 namespace {
 
-void demosaic_interior_scalar(const double* raw, int rows, int columns,
-                              double* rgb_out) {
-  for (int r = 1; r + 1 < rows; ++r) {
-    demosaic_row_segment(raw, columns, r, 1, columns - 1, rgb_out);
-  }
+void demosaic_code_row_scalar(const double* up, const double* mid, const double* down,
+                              int columns, bool even_row, color::Rgb8* out) {
+  demosaic_code_edges(up, mid, down, columns, even_row, out);
+  demosaic_code_segment(up, mid, down, even_row, 1, columns - 1, out);
 }
 
 void row_lab_rgb_sums_scalar(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -39,8 +39,8 @@ void delta_e_ab_scalar(const double* ref_a, const double* ref_b, int count, doub
 }  // namespace
 
 const KernelTable kScalarKernels = {
-    demosaic_interior_scalar, row_lab_rgb_sums_scalar, vignette_signal_scalar,
-    shot_sigma_scalar,        delta_e_ab_scalar,
+    demosaic_code_row_scalar, row_lab_rgb_sums_scalar, vignette_signal_scalar,
+    shot_sigma_scalar,        delta_e_ab_scalar,       util::Xoshiro256::polar_finish,
 };
 
 const LabLut& lab_lut() noexcept {

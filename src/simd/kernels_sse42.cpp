@@ -1,74 +1,26 @@
-// SSE4.2 backend: 2 double lanes per step for the demosaic and the
-// pointwise kernels (vignette, shot sigma, ΔE). Compiled with -msse4.2
-// only — the same no-FMA byte-identity argument as the AVX2 TU applies.
-// Structure mirrors kernels_avx2.cpp at half width; see that file for
-// the reasoning behind each operation order. The Lab row reduction runs
-// the scalar segment here, as on NEON: at two lanes a vector kernel is
-// bound by table loads and shuffles, and measured no faster than the
-// scalar segment on the 32-byte code rows (DESIGN.md §5).
+// SSE4.2 backend: 2 double lanes per step for the pointwise kernels
+// (vignette, shot sigma, ΔE). Compiled with -msse4.2 only — the same
+// no-FMA byte-identity argument as the AVX2 TU applies. Structure
+// mirrors kernels_avx2.cpp at half width; see that file for the
+// reasoning behind each operation order. The demosaic→code row, the Lab
+// row reduction and the polar finish run the scalar segments here, as
+// on NEON: a two-lane Lab kernel measured no faster than the scalar
+// segment (DESIGN.md §5), the demosaic→code row is bound by its
+// per-channel table reads, and the finish by libm's log.
 
 #include <immintrin.h>
 
+#include "colorbars/util/rng.hpp"
 #include "kernels.hpp"
 
 namespace colorbars::simd::detail {
 
 namespace {
 
-void demosaic_interior_sse42(const double* raw, int rows, int columns,
-                             double* rgb_out) {
-  // Multiplying by 0.25 / 0.5 is bit-identical to the reference's
-  // division by 4.0 / 2.0 (power-of-two reciprocals are exact) and
-  // avoids the non-pipelined divider.
-  if (rows <= 2 || columns <= 2) return;
-  const __m128d quarter = _mm_set1_pd(0.25);
-  const __m128d half = _mm_set1_pd(0.5);
-  for (int r = 1; r + 1 < rows; ++r) {
-    const double* up =
-        raw + static_cast<std::size_t>(r - 1) * static_cast<std::size_t>(columns);
-    const double* mid = up + columns;
-    const double* down = mid + columns;
-    const bool even_row = (r % 2) == 0;
-    double* out_row = rgb_out + static_cast<std::size_t>(r) *
-                                    static_cast<std::size_t>(columns) * 3;
-    int c = 1;
-    for (; c + 1 <= columns - 2; c += 2) {
-      const __m128d up_l = _mm_loadu_pd(up + c - 1);
-      const __m128d up_m = _mm_loadu_pd(up + c);
-      const __m128d up_r = _mm_loadu_pd(up + c + 1);
-      const __m128d mid_l = _mm_loadu_pd(mid + c - 1);
-      const __m128d own = _mm_loadu_pd(mid + c);
-      const __m128d mid_r = _mm_loadu_pd(mid + c + 1);
-      const __m128d down_l = _mm_loadu_pd(down + c - 1);
-      const __m128d down_m = _mm_loadu_pd(down + c);
-      const __m128d down_r = _mm_loadu_pd(down + c + 1);
-
-      const __m128d g4 = _mm_mul_pd(
-          _mm_add_pd(_mm_add_pd(_mm_add_pd(up_m, mid_l), mid_r), down_m), quarter);
-      const __m128d diag4 = _mm_mul_pd(
-          _mm_add_pd(_mm_add_pd(_mm_add_pd(up_l, up_r), down_l), down_r), quarter);
-      const __m128d horiz2 = _mm_mul_pd(_mm_add_pd(mid_l, mid_r), half);
-      const __m128d vert2 = _mm_mul_pd(_mm_add_pd(up_m, down_m), half);
-
-      // c starts odd and steps by 2: lane 0 odd column, lane 1 even.
-      __m128d x, y, z;
-      if (even_row) {
-        x = _mm_blend_pd(horiz2, own, 0b10);
-        y = _mm_blend_pd(own, g4, 0b10);
-        z = _mm_blend_pd(vert2, diag4, 0b10);
-      } else {
-        x = _mm_blend_pd(diag4, vert2, 0b10);
-        y = _mm_blend_pd(g4, own, 0b10);
-        z = _mm_blend_pd(own, horiz2, 0b10);
-      }
-
-      double* out = out_row + static_cast<std::size_t>(c) * 3;
-      _mm_storeu_pd(out, _mm_unpacklo_pd(x, y));          // x0 y0
-      _mm_storeu_pd(out + 2, _mm_shuffle_pd(z, x, 0b10)); // z0 x1
-      _mm_storeu_pd(out + 4, _mm_unpackhi_pd(y, z));      // y1 z1
-    }
-    if (c < columns - 1) demosaic_row_segment(raw, columns, r, c, columns - 1, rgb_out);
-  }
+void demosaic_code_row_sse42(const double* up, const double* mid, const double* down,
+                             int columns, bool even_row, color::Rgb8* out) {
+  demosaic_code_edges(up, mid, down, columns, even_row, out);
+  demosaic_code_segment(up, mid, down, even_row, 1, columns - 1, out);
 }
 
 void row_lab_rgb_sums_sse42(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -129,8 +81,8 @@ void delta_e_ab_sse42(const double* ref_a, const double* ref_b, int count, doubl
 }  // namespace
 
 const KernelTable kSse42Kernels = {
-    demosaic_interior_sse42, row_lab_rgb_sums_sse42, vignette_signal_sse42,
-    shot_sigma_sse42,        delta_e_ab_sse42,
+    demosaic_code_row_sse42, row_lab_rgb_sums_sse42, vignette_signal_sse42,
+    shot_sigma_sse42,        delta_e_ab_sse42,       util::Xoshiro256::polar_finish,
 };
 
 }  // namespace colorbars::simd::detail

@@ -137,8 +137,20 @@ bool set_backend(Backend backend) noexcept {
   return true;
 }
 
-void demosaic_interior(const double* raw, int rows, int columns, double* rgb_out) {
-  active_table().demosaic_interior(raw, rows, columns, rgb_out);
+void demosaic_code_row(const double* up, const double* mid, const double* down,
+                       int columns, bool even_row, color::Rgb8* out) {
+  active_table().demosaic_code_row(up, mid, down, columns, even_row, out);
+}
+
+void demosaic_interior_row(const double* up, const double* mid, const double* down,
+                           int columns, bool even_row, double* rgb_out) {
+  detail::demosaic_segment(up, mid, down, even_row, 1, columns - 1,
+                           [rgb_out](int c, double red, double green, double blue) {
+                             double* pixel = rgb_out + 3 * static_cast<std::size_t>(c);
+                             pixel[0] = red;
+                             pixel[1] = green;
+                             pixel[2] = blue;
+                           });
 }
 
 void row_lab_rgb_sums(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -160,6 +172,10 @@ void shot_sigma_row(const double* signal, int count, double iso_gain,
 void delta_e_ab_many(const double* ref_a, const double* ref_b, int count, double a,
                      double b, double* out) {
   active_table().delta_e_ab_many(ref_a, ref_b, count, a, b, out);
+}
+
+void polar_finish(double* pairs, std::size_t count) {
+  active_table().polar_finish(pairs, count);
 }
 
 }  // namespace colorbars::simd

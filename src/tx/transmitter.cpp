@@ -62,11 +62,15 @@ Transmission Transmitter::transmit(std::span<const std::uint8_t> payload) const 
   }
 
   // Calibration cadence: one calibration packet every `interval` symbol
-  // slots (paper §8: 5 calibration packets per second).
-  const long long calibration_interval =
-      config_.calibration_rate_hz > 0.0
-          ? static_cast<long long>(config_.symbol_rate_hz / config_.calibration_rate_hz)
-          : std::numeric_limits<long long>::max();
+  // slots (paper §8: 5 calibration packets per second). A rate <= 0 (or
+  // NaN) means never, and so does one so small that the interval reaches
+  // 2^63 slots: the interval stays a double until it is known to fit a
+  // long long.
+  long long calibration_interval = std::numeric_limits<long long>::max();
+  if (config_.calibration_rate_hz > 0.0) {
+    const double interval = config_.symbol_rate_hz / config_.calibration_rate_hz;
+    if (interval < 0x1p63) calibration_interval = static_cast<long long>(interval);
+  }
 
   std::vector<ChannelSymbol>& slots = transmission.slots;
   append_warmup(slots);

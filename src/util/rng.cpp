@@ -39,7 +39,20 @@ double Xoshiro256::normal() noexcept {
   return u * factor;
 }
 
-void Xoshiro256::fill_normal(std::span<double> out) noexcept {
+void Xoshiro256::polar_finish(double* pairs, std::size_t count) noexcept {
+  // The same s and factor expressions as normal(), so every deviate is
+  // bit-identical to the call-by-call sequence.
+  for (std::size_t k = 0; k < count; ++k) {
+    const double u = pairs[2 * k];
+    const double v = pairs[2 * k + 1];
+    const double s = u * u + v * v;
+    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    pairs[2 * k] = u * factor;
+    pairs[2 * k + 1] = v * factor;
+  }
+}
+
+void Xoshiro256::fill_normal(std::span<double> out, PolarFinish finish) noexcept {
   std::size_t begin = 0;
   if (!out.empty() && has_cached_normal_) {
     has_cached_normal_ = false;
@@ -64,16 +77,7 @@ void Xoshiro256::fill_normal(std::span<double> out) noexcept {
     pair_out[2 * accepted + 1] = v;
     accepted += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
   }
-  // The same s and factor expressions as normal(), so every deviate is
-  // bit-identical to the call-by-call sequence.
-  for (std::size_t k = 0; k < pairs; ++k) {
-    const double u = pair_out[2 * k];
-    const double v = pair_out[2 * k + 1];
-    const double s = u * u + v * v;
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    pair_out[2 * k] = u * factor;
-    pair_out[2 * k + 1] = v * factor;
-  }
+  finish(pair_out, pairs);
   if ((out.size() - begin) % 2 != 0) out.back() = normal();
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "colorbars/color/lut.hpp"
 #include "colorbars/simd/simd.hpp"
@@ -112,17 +115,55 @@ TEST(Demosaic, HorizontalBandEdgeBleedsAcrossOneRow) {
   EXPECT_TRUE(mixing_seen);
 }
 
+/// Raw values where the render actually lives: runs of the exact 0.0
+/// and 1.0 its clamp produces in dark and saturated bands, -0.0 and
+/// NaN, each quantizer decision boundary and one ulp either side, and
+/// uniform noise.
+std::vector<double> edge_case_raw(util::Xoshiro256& rng, std::size_t count) {
+  std::vector<double> boundaries;
+  double previous = 0.0;
+  for (const double boundary : color::srgb_quant_tables().bucket_boundary) {
+    if (std::isinf(boundary) || boundary == previous) continue;
+    previous = boundary;
+    boundaries.insert(boundaries.end(), {std::nextafter(boundary, 0.0), boundary,
+                                         std::nextafter(boundary, 1.0)});
+  }
+  std::vector<double> raw;
+  raw.reserve(count);
+  while (raw.size() < count) {
+    const std::size_t run = 1 + rng.below(9);
+    double value = 0.0;
+    switch (rng.below(6)) {
+      case 0: value = 0.0; break;
+      case 1: value = 1.0; break;
+      case 2: value = rng.chance(0.5) ? -0.0 : std::numeric_limits<double>::quiet_NaN(); break;
+      case 3: value = boundaries[rng.below(boundaries.size())]; break;
+      default: value = rng.uniform(); break;
+    }
+    for (std::size_t i = 0; i < run && raw.size() < count; ++i) {
+      // Boundary runs vary value by value; the rest hold it.
+      raw.push_back(i > 0 && rng.chance(0.3) ? boundaries[rng.below(boundaries.size())]
+                                              : value);
+    }
+  }
+  return raw;
+}
+
 TEST(Demosaic, FusedQuantizeMatchesQuantizedDemosaic) {
-  // The render demosaics a few rows at a time and quantizes straight
-  // into the frame; it must reproduce quantize_srgb(demosaic(raw)) byte
-  // for byte. Odd and even row counts, windows cut short at the bottom,
-  // and border-only images (1-3 rows or columns) on every backend.
-  const std::pair<int, int> shapes[] = {
-      {1, 1},  {1, 5},   {2, 2},  {2, 7},  {3, 1},  {3, 2},   {3, 3},   {5, 2},
-      {4, 9},  {9, 4},   {10, 3}, {10, 6}, {11, 64}, {17, 33}, {18, 8}, {33, 65},
-      {96, 33}, {2448, 64}};
+  // The render demosaics each row straight to codes, from the raw row
+  // and its two neighbours; it must reproduce
+  // quantize_srgb(demosaic(raw)) byte for byte on every backend. Every
+  // width from 1 to 67 (both edge-column parities, the fixed-neighbour
+  // edges at widths under 4, every vector tail), row counts from a
+  // single border row up past the render's eight-row noise batch, fed
+  // the values the render's clamp produces plus -0.0, NaN and the
+  // quantizer's decision boundaries; then a full Nexus 5 frame.
+  std::vector<std::pair<int, int>> shapes;
+  for (int columns = 1; columns <= 67; ++columns) {
+    for (const int rows : {1, 2, 3, 4, 5, 8, 9, 10, 17}) shapes.emplace_back(rows, columns);
+  }
+  shapes.emplace_back(2448, 64);
   util::Xoshiro256 rng(0xf05e);
-  util::CaptureArena arena;
   Frame frame;
   const simd::Backend saved = simd::active_backend();
   for (const simd::Backend backend :
@@ -131,11 +172,10 @@ TEST(Demosaic, FusedQuantizeMatchesQuantizedDemosaic) {
     if (!simd::backend_supported(backend)) continue;
     ASSERT_TRUE(simd::set_backend(backend));
     for (const auto& [rows, columns] : shapes) {
-      std::vector<double> raw(static_cast<std::size_t>(rows) * columns);
-      for (double& value : raw) value = rng.uniform();
+      const std::vector<double> raw =
+          edge_case_raw(rng, static_cast<std::size_t>(rows) * static_cast<std::size_t>(columns));
       const FloatImage reference = demosaic(raw, rows, columns);
-      arena.reset();
-      demosaic_quantize_into(raw, rows, columns, frame, arena);
+      demosaic_quantize_into(raw, rows, columns, frame);
       ASSERT_EQ(frame.rows, rows);
       ASSERT_EQ(frame.columns, columns);
       for (int r = 0; r < rows; ++r) {
@@ -149,8 +189,7 @@ TEST(Demosaic, FusedQuantizeMatchesQuantizedDemosaic) {
   }
   ASSERT_TRUE(simd::set_backend(saved));
   const std::vector<double> short_raw(5, 0.0);
-  EXPECT_THROW(demosaic_quantize_into(short_raw, 2, 2, frame, arena),
-               std::invalid_argument);
+  EXPECT_THROW(demosaic_quantize_into(short_raw, 2, 2, frame), std::invalid_argument);
 }
 
 TEST(FloatImage, BoundsChecking) {

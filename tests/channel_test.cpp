@@ -127,6 +127,74 @@ TEST(Channel, GoldenHashesHoldOnEverySimdBackend) {
   ASSERT_TRUE(simd::set_backend(saved));
 }
 
+std::uint64_t frames_hash(const std::vector<camera::Frame>& frames) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const camera::Frame& frame : frames) {
+    hash = fnv1a(hash, static_cast<std::uint64_t>(frame.exposure_s * 1e12));
+    for (const color::Rgb8& pixel : frame.pixels) {
+      hash = fnv1a(hash, static_cast<std::uint64_t>(pixel.r) |
+                             (static_cast<std::uint64_t>(pixel.g) << 8) |
+                             (static_cast<std::uint64_t>(pixel.b) << 16));
+    }
+  }
+  return hash;
+}
+
+TEST(Channel, ClassicAndSceneRendersMatchOnEveryBackendAtOneAndEightThreads) {
+  // Both renders stream rows from the noise draw to codes through the
+  // dispatched demosaic→code kernel, with frames fanned out over the
+  // shared pool. The classic capture must hit its golden hash on every
+  // backend at 1 and 8 threads. A two-emitter scene frame set — emitter
+  // edges at both column parities, an odd sensor width, and dark
+  // surround rows whose raw values clamp to exact zeros — must give the
+  // same bytes on every backend at both thread counts.
+  const led::EmissionTrace trace = golden_trace();
+  camera::SensorProfile scene_profile = camera::nexus5_profile();
+  scene_profile.rows = 480;
+  scene_profile.columns = 67;
+  const channel::OpticalChannel optics;
+  camera::SensorRegion left{40, 7, 300, 20};
+  camera::SensorRegion right{120, 34, 360, 25};
+  const camera::RegionEmitter emitters[] = {{&trace, &optics, left}, {&trace, &optics, right}};
+  const auto scene_hash = [&] {
+    camera::RollingShutterCamera camera(scene_profile, channel::OpticalChannel{}, 0x5ce);
+    const camera::CapturePlan plan = camera.plan_capture_span(0.2);
+    std::vector<camera::Frame> frames(plan.start_times.size());
+    runtime::parallel_for(0, static_cast<std::int64_t>(frames.size()), 1,
+                          [&](std::int64_t lo, std::int64_t hi) {
+                            camera::RenderScratch scratch;
+                            for (std::int64_t i = lo; i < hi; ++i) {
+                              camera.render_planned_scene_frame(
+                                  emitters, plan, static_cast<int>(i),
+                                  frames[static_cast<std::size_t>(i)], scratch);
+                            }
+                          });
+    return frames_hash(frames);
+  };
+
+  const simd::Backend saved = simd::active_backend();
+  ASSERT_TRUE(simd::set_backend(simd::Backend::kScalar));
+  runtime::ThreadPool::set_shared_thread_count(1);
+  const std::uint64_t scene_reference = scene_hash();
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2,
+        simd::Backend::kNeon}) {
+    if (!simd::backend_supported(backend)) continue;
+    ASSERT_TRUE(simd::set_backend(backend));
+    for (const unsigned threads : {1u, 8u}) {
+      runtime::ThreadPool::set_shared_thread_count(threads);
+      EXPECT_EQ(capture_hash(camera::nexus5_profile(), trace), 0x6e375ae069668e59ULL)
+          << "classic render diverged on " << simd::backend_name(backend) << " at "
+          << threads << " threads";
+      EXPECT_EQ(scene_hash(), scene_reference)
+          << "scene render diverged on " << simd::backend_name(backend) << " at " << threads
+          << " threads";
+    }
+  }
+  runtime::ThreadPool::set_shared_thread_count(0);
+  ASSERT_TRUE(simd::set_backend(saved));
+}
+
 // ---------------------------------------------------------------------------
 // Spec validation (satellite: mirror ExposureSettings::validate).
 

@@ -4,6 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "colorbars/tx/transmitter.hpp"
 
 namespace colorbars::core {
 namespace {
@@ -205,6 +210,44 @@ TEST(LinkSimulator, GoodputIsPositiveAtModerateRates) {
   LinkSimulator sim(config);
   const LinkRunResult result = sim.run_goodput(1.5);
   EXPECT_GT(result.goodput_bps(), 500.0);
+}
+
+TEST(LinkSimulator, TinyCalibrationRateMeansNeverAndNonFiniteIsRejected) {
+  // 3000 / 1e-300 slots is far past 2^63: the calibration interval must
+  // read as "never", as a rate of 0 does, instead of overflowing a
+  // long long conversion (undefined behaviour that the sanitizer build's
+  // float-cast-overflow check halts on). The run finishes, and it sends
+  // exactly what a never-calibrating run sends.
+  LinkConfig config;
+  config.order = csk::CskOrder::kCsk8;
+  config.symbol_rate_hz = 3000;
+  config.calibration_rate_hz = 1e-300;
+  EXPECT_NO_THROW(config.validate());
+  const tx::Transmitter tiny_tx(config.transmitter_config());
+  const std::vector<std::uint8_t> payload(600, 0x5a);
+  const std::vector<protocol::ChannelSymbol> tiny_slots = tiny_tx.transmit(payload).slots;
+  const LinkRunResult tiny = LinkSimulator(config).run_goodput(1.5);
+
+  config.calibration_rate_hz = 0.0;
+  const tx::Transmitter never_tx(config.transmitter_config());
+  EXPECT_EQ(tiny_slots, never_tx.transmit(payload).slots);
+  const LinkRunResult never = LinkSimulator(config).run_goodput(1.5);
+  EXPECT_EQ(tiny.report.calibration_packets, never.report.calibration_packets);
+  EXPECT_EQ(tiny.recovered_bytes, never.recovered_bytes);
+  EXPECT_GT(tiny.recovered_bytes, 0u);
+
+  // The default 5 Hz cadence does add periodic packets to the same run.
+  config.calibration_rate_hz = 5.0;
+  const tx::Transmitter periodic_tx(config.transmitter_config());
+  EXPECT_GT(periodic_tx.transmit(payload).slots.size(), tiny_slots.size());
+
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    config.calibration_rate_hz = rate;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << rate;
+    EXPECT_THROW((void)LinkSimulator(config), std::invalid_argument) << rate;
+  }
 }
 
 TEST(LinkSimulator, ResultsAreReproducibleForSameSeed) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
@@ -185,31 +186,77 @@ TEST(Simd, RowSumsEveryMisalignmentOffsetAndOddWidth) {
   }
 }
 
-TEST(Simd, DemosaicInteriorMatchesScalarOnRandomFrames) {
+TEST(Simd, DemosaicCodeRowMatchesScalarAtEveryOffset) {
+  // The demosaic→code kernel against the scalar backend on rows of
+  // every width from 1 to 67, both row phases and every misalignment
+  // offset 0–7 of the three raw rows and the output. Half the values
+  // are the exact 0.0 / 1.0 of a clamped render; the rest are uniform
+  // in [-0.05, 1.05), so the quantizer's clamps see both sides.
   const std::vector<simd::Backend> backends = vector_backends();
   if (backends.empty()) GTEST_SKIP() << "no vector backend compiled/supported";
   BackendGuard guard;
 
   util::Xoshiro256 rng(0xba7e2);
-  const int shapes[][2] = {{3, 3}, {4, 5}, {5, 4}, {5, 7}, {8, 8},
-                           {9, 33}, {16, 31}, {33, 65}, {64, 34}};
-  for (const auto& shape : shapes) {
-    const int rows = shape[0];
-    const int columns = shape[1];
-    std::vector<double> raw(static_cast<std::size_t>(rows) * columns);
-    for (double& value : raw) value = rng.uniform(0.0, 1.0);
+  constexpr int kMaxColumns = 67;
+  constexpr int kMaxOffset = 8;
+  std::vector<double> raw(3 * (kMaxColumns + kMaxOffset));
+  for (double& value : raw) {
+    value = rng.chance(0.5) ? (rng.chance(0.5) ? 0.0 : 1.0) : rng.uniform(-0.05, 1.05);
+  }
+  const double* up = raw.data();
+  const double* mid = up + kMaxColumns + kMaxOffset;
+  const double* down = mid + kMaxColumns + kMaxOffset;
+  for (int columns = 1; columns <= kMaxColumns; ++columns) {
+    for (int offset = 0; offset < kMaxOffset; ++offset) {
+      for (const bool even_row : {true, false}) {
+        std::vector<color::Rgb8> reference(kMaxColumns + kMaxOffset, {7, 7, 7});
+        ASSERT_TRUE(simd::set_backend(simd::Backend::kScalar));
+        simd::demosaic_code_row(up + offset, mid + offset, down + offset, columns, even_row,
+                                reference.data() + offset);
+        for (const simd::Backend backend : backends) {
+          ASSERT_TRUE(simd::set_backend(backend));
+          std::vector<color::Rgb8> out(reference.size(), {7, 7, 7});
+          simd::demosaic_code_row(up + offset, mid + offset, down + offset, columns,
+                                  even_row, out.data() + offset);
+          ASSERT_EQ(out, reference) << simd::backend_name(backend) << " columns=" << columns
+                                    << " offset=" << offset << " even_row=" << even_row;
+        }
+      }
+    }
+  }
+}
 
-    const std::size_t out_size = raw.size() * 3;
-    // Sentinel-filled outputs double as a border-untouched check.
-    std::vector<double> reference(out_size, -7.0);
-    ASSERT_TRUE(simd::set_backend(simd::Backend::kScalar));
-    simd::demosaic_interior(raw.data(), rows, columns, reference.data());
-    for (const simd::Backend backend : backends) {
-      ASSERT_TRUE(simd::set_backend(backend));
-      std::vector<double> out(out_size, -7.0);
-      simd::demosaic_interior(raw.data(), rows, columns, out.data());
-      ASSERT_EQ(std::memcmp(out.data(), reference.data(), out_size * sizeof(double)), 0)
-          << simd::backend_name(backend) << " " << rows << "x" << columns;
+TEST(Simd, PolarFinishMatchesReferenceAtEveryCount) {
+  // The vector polar finish against Xoshiro256::polar_finish, bit for
+  // bit, on accepted pairs from a real accept loop (0 < s < 1) and on
+  // the extremes: s a hair above 0 and a hair below 1. Counts up to 44
+  // cover every vector tail, at every offset 0–3 of the pair buffer.
+  BackendGuard guard;
+  util::Xoshiro256 rng(0x901a);
+  std::vector<double> pairs;
+  while (pairs.size() < 2 * 48) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double s = u * u + v * v;
+    if (s < 1.0 && s != 0.0) pairs.insert(pairs.end(), {u, v});
+  }
+  pairs[2] = 0x1p-30;
+  pairs[3] = -0x1p-31;
+  pairs[4] = std::nextafter(std::sqrt(0.5), 0.0);
+  pairs[5] = -std::nextafter(std::sqrt(0.5), 0.0);
+  std::vector<simd::Backend> backends = vector_backends();
+  backends.push_back(simd::Backend::kScalar);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t count = 0; count + offset <= 44; ++count) {
+      std::vector<double> reference = pairs;
+      util::Xoshiro256::polar_finish(reference.data() + 2 * offset, count);
+      for (const simd::Backend backend : backends) {
+        ASSERT_TRUE(simd::set_backend(backend));
+        std::vector<double> out = pairs;
+        simd::polar_finish(out.data() + 2 * offset, count);
+        ASSERT_EQ(std::memcmp(out.data(), reference.data(), out.size() * sizeof(double)), 0)
+            << simd::backend_name(backend) << " offset=" << offset << " count=" << count;
+      }
     }
   }
 }
