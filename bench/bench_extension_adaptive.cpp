@@ -17,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "colorbars/adapt/simulator.hpp"
-#include "colorbars/svc/service.hpp"
 
 using namespace colorbars;
 
@@ -123,10 +122,9 @@ int main() {
   }
   std::printf("\n\n");
 
-  // One job per policy: the adaptive walk plus every frozen rung. With
-  // COLORBARS_GRID_WORKERS set the batch runs across worker processes
-  // (byte-identical to the in-process runs); otherwise each simulator
-  // runs here in order.
+  // One job per policy: the adaptive walk plus every frozen rung. The
+  // batch runs in this process on the runtime pool, or with
+  // COLORBARS_GRID_WORKERS set across worker processes (byte-identical).
   std::vector<std::string> names;
   std::vector<svc::AdaptiveJob> jobs;
   names.push_back("adaptive");
@@ -136,19 +134,11 @@ int main() {
     jobs.push_back({policy_config(false, static_cast<int>(rung)), trajectory});
   }
 
-  const std::optional<int> grid_workers = svc::grid_workers_from_env();
+  svc::ServiceConfig service;
+  service.workers = svc::grid_workers_from_env();
   svc::SvcStats grid_stats;
-  std::vector<adapt::AdaptiveRunResult> results;
-  if (grid_workers) {
-    svc::ServiceConfig service;
-    service.workers = *grid_workers;
-    results = svc::run_adaptive_batch(jobs, service, &grid_stats);
-  } else {
-    for (const svc::AdaptiveJob& job : jobs) {
-      adapt::AdaptiveLinkSimulator simulator(job.config, job.trajectory);
-      results.push_back(simulator.run());
-    }
-  }
+  std::vector<adapt::AdaptiveRunResult> results =
+      svc::run_adaptive_batch(jobs, service, &grid_stats);
 
   std::vector<PolicyOutcome> outcomes;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -236,15 +226,7 @@ int main() {
       .metric("total_ok", total_ok ? 1 : 0)
       .metric("winning_phase", winning_phase)
       .metric("pass", pass ? 1 : 0);
-  if (grid_workers) {
-    report.add_row()
-        .label("policy", "scheduler")
-        .metric("grid_workers", grid_stats.workers)
-        .metric("jobs", static_cast<double>(grid_stats.jobs_total))
-        .metric("retries", static_cast<double>(grid_stats.retries))
-        .metric("respawns", static_cast<double>(grid_stats.respawns))
-        .metric("wall_time_s", grid_stats.wall_time_s);
-  }
+  bench::add_scheduler_row(report, "policy", grid_stats);
   report.write();
   return pass ? 0 : 1;
 }

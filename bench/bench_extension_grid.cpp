@@ -1,12 +1,12 @@
-// Extension bench: the sharded trial service (colorbars::svc) vs the
-// sequential in-process reference on a fixed SER grid.
+// Extension bench: svc::run_sweep on worker processes (colorbars::svc)
+// vs the same call in process on a one-thread pool, on a fixed SER grid.
 //
 // Two claims are measured:
 //
 //  1. Correctness (hard gate, any hardware): the 2-worker, 4-worker and
 //     crash-injected 2-worker runs must be BYTE-identical to the
-//     sequential run — same trial rows, same aggregates, to the last
-//     bit. Any divergence fails the bench.
+//     sequential in-process run — same trial rows, same aggregates, to
+//     the last bit. Any divergence fails the bench.
 //  2. Throughput (gated on >= 4 hardware threads): with per-process
 //     compute pinned to one thread (COLORBARS_THREADS=1), 4 workers
 //     must finish the grid > 1.5x faster than the sequential run. On
@@ -21,9 +21,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "colorbars/svc/json.hpp"
-#include "colorbars/svc/service.hpp"
-#include "colorbars/svc/sweep.hpp"
 
 using namespace colorbars;
 
@@ -86,8 +83,11 @@ int main() {
   std::printf("grid: %zu points x 4 trials, 1 trial/job, COLORBARS_THREADS=1\n\n",
               spec.points.size());
 
+  // Zero workers on the one-thread pool: the jobs run in order, inline.
+  svc::ServiceConfig in_process;
+  in_process.workers = 0;
   auto start = std::chrono::steady_clock::now();
-  const std::vector<svc::PointResult> reference = svc::run_sweep_sequential(spec);
+  const std::vector<svc::PointResult> reference = svc::run_sweep(spec, in_process);
   const double sequential_s = seconds_since(start);
   const std::string reference_print = fingerprint(spec, reference);
   std::printf("%-24s %8.2fs\n", "sequential", sequential_s);

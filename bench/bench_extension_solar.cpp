@@ -11,12 +11,14 @@
 // Acceptance: the photodiode frontend sustains a symbol rate strictly
 // above the camera's highest viable rate at SER <= target while
 // observing (nearly) every slot.
+//
+// The grid runs through svc::run_sweep: in this process, or with
+// COLORBARS_GRID_WORKERS=N across N worker processes (byte-identical).
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "colorbars/core/link.hpp"
 
 using namespace colorbars;
 
@@ -28,7 +30,7 @@ constexpr double kSerTarget = 0.05;
 /// gap loss is ~25%, so a healthy camera point sits near 0.75).
 constexpr double kMinObservedFraction = 0.5;
 
-struct SweepPoint {
+struct RatePoint {
   double rate_hz = 0.0;
   double ser = 0.0;
   double observed_fraction = 0.0;
@@ -36,33 +38,38 @@ struct SweepPoint {
   bool viable = false;
 };
 
-SweepPoint measure(frontend::FrontendKind kind, double rate_hz) {
-  core::LinkConfig config;
-  config.profile = camera::ideal_profile();
-  config.frontend = kind;
-  config.symbol_rate_hz = rate_hz;
+svc::SweepPoint sweep_point(frontend::FrontendKind kind, double rate_hz) {
+  svc::SweepPoint point;
+  point.config.profile = camera::ideal_profile();
+  point.config.frontend = kind;
+  point.config.symbol_rate_hz = rate_hz;
   // Let the transmitter hardware chase the sweep — the stock
   // BeagleBone-class cap would clip the upper rates for both frontends.
-  config.led.max_symbol_rate_hz = 64000.0;
-  config.seed = 0x501a25ULL ^ static_cast<std::uint64_t>(rate_hz);
+  point.config.led.max_symbol_rate_hz = 64000.0;
+  point.config.seed = 0x501a25ULL ^ static_cast<std::uint64_t>(rate_hz);
+  point.kind = svc::TrialKind::kSer;
+  point.trials = 3;
+  point.symbols_per_trial = 1500;
+  return point;
+}
 
-  core::LinkSimulator sim(config);
-  const core::SerBatchResult batch = sim.run_ser_trials(3, 1500);
+/// Pools a point's trials: SER over every observed symbol of the point.
+RatePoint summarize(const svc::PointResult& result, double rate_hz) {
   long long sent = 0;
   long long observed = 0;
   long long errors = 0;
-  for (const core::SerResult& trial : batch.trials) {
-    sent += trial.symbols_sent;
-    observed += trial.symbols_observed;
-    errors += trial.symbol_errors;
+  for (const svc::TrialResult& trial : result.trials) {
+    sent += trial.ser.symbols_sent;
+    observed += trial.ser.symbols_observed;
+    errors += trial.ser.symbol_errors;
   }
-  SweepPoint point;
+  RatePoint point;
   point.rate_hz = rate_hz;
   point.ser = observed > 0 ? static_cast<double>(errors) / static_cast<double>(observed)
                            : 1.0;
   point.observed_fraction =
       sent > 0 ? static_cast<double>(observed) / static_cast<double>(sent) : 0.0;
-  point.loss_ratio = batch.inter_frame_loss_ratio.mean;
+  point.loss_ratio = result.loss_ratio.mean;
   point.viable =
       point.ser <= kSerTarget && point.observed_fraction >= kMinObservedFraction;
   return point;
@@ -71,6 +78,8 @@ SweepPoint measure(frontend::FrontendKind kind, double rate_hz) {
 }  // namespace
 
 int main() {
+  svc::maybe_run_worker();  // this binary is its own grid worker
+
   bench::print_header(
       "Extension: photodiode (solar-cell) frontend vs rolling-shutter camera");
   bench::JsonReport report("extension_solar");
@@ -82,18 +91,27 @@ int main() {
   std::printf("%9s | %28s | %28s\n", "", "camera (rolling shutter)", "photodiode array");
   std::printf("%9s | %8s %9s %8s | %8s %9s %8s\n", "rate", "SER", "observed",
               "viable", "SER", "observed", "viable");
+  svc::SweepSpec spec;
+  for (const double rate : rates) {
+    spec.points.push_back(sweep_point(frontend::FrontendKind::kCamera, rate));
+    spec.points.push_back(sweep_point(frontend::FrontendKind::kPhotodiode, rate));
+  }
+  svc::SvcStats grid_stats;
+  const std::vector<svc::PointResult> results = bench::run_grid(spec, grid_stats);
+
   double camera_best = 0.0;
   double pd_best = 0.0;
-  for (const double rate : rates) {
-    const SweepPoint camera = measure(frontend::FrontendKind::kCamera, rate);
-    const SweepPoint pd = measure(frontend::FrontendKind::kPhotodiode, rate);
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double rate = rates[i];
+    const RatePoint camera = summarize(results[2 * i], rate);
+    const RatePoint pd = summarize(results[2 * i + 1], rate);
     if (camera.viable) camera_best = rate;
     if (pd.viable) pd_best = rate;
     std::printf("%7.0f/s | %8.4f %8.1f%% %8s | %8.4f %8.1f%% %8s\n", rate,
                 camera.ser, 100.0 * camera.observed_fraction,
                 camera.viable ? "yes" : "no", pd.ser,
                 100.0 * pd.observed_fraction, pd.viable ? "yes" : "no");
-    for (const SweepPoint* point : {&camera, &pd}) {
+    for (const RatePoint* point : {&camera, &pd}) {
       report.add_row()
           .label("frontend", point == &camera ? "camera" : "photodiode")
           .metric("symbol_rate_hz", point->rate_hz)
@@ -113,6 +131,7 @@ int main() {
       .label("summary", "ceiling")
       .metric("camera_max_viable_rate_hz", camera_best)
       .metric("pd_max_viable_rate_hz", pd_best);
+  bench::add_scheduler_row(report, "summary", grid_stats);
 
   // Acceptance: the pd frontend must push strictly past the camera's
   // rolling-shutter ceiling.

@@ -8,46 +8,35 @@
 // goodput below the 16-CSK curve; the iPhone's larger gap both loses
 // more packets and forces more parity, lowering its whole family of
 // curves.
+//
+// The grid runs through svc::run_sweep: in this process, or with
+// COLORBARS_GRID_WORKERS=N across N worker processes (byte-identical).
 
 #include "bench_util.hpp"
-#include "colorbars/core/link.hpp"
 
 using namespace colorbars;
 
 int main() {
+  svc::maybe_run_worker();  // this binary is its own grid worker
+
   bench::print_header("Fig. 11: goodput (kbps) vs symbol frequency");
   bench::JsonReport report("fig11_goodput");
 
-  for (const auto& profile : {camera::nexus5_profile(), camera::iphone5s_profile()}) {
-    std::printf("\n%s\n", profile.name.c_str());
-    std::printf("%-8s", "");
-    for (const double frequency : bench::paper_frequencies()) {
-      std::printf(" %9.0fHz", frequency);
-    }
-    std::printf("\n");
-    for (const csk::CskOrder order : csk::all_orders()) {
-      std::printf("%-8s", csk::order_name(order));
-      for (const double frequency : bench::paper_frequencies()) {
-        core::LinkConfig config;
-        config.order = order;
-        config.symbol_rate_hz = frequency;
-        config.profile = profile;
-        config.seed = 0xf11 + static_cast<std::uint64_t>(frequency) +
-                      (static_cast<std::uint64_t>(order) << 20);
-        core::LinkSimulator sim(config);
-        // 3 s per point, split into parallel trials on derived seeds.
-        const core::GoodputBatchResult batch = sim.run_goodput_trials(2, 1.5);
-        std::printf(" %9.2fkb", batch.goodput_bps.mean / 1000.0);
-        report.add_row()
-            .label("device", profile.name)
-            .label("order", csk::order_name(order))
-            .metric("symbol_rate_hz", frequency)
-            .metric("goodput_bps_mean", batch.goodput_bps.mean)
-            .metric("goodput_bps_stddev", batch.goodput_bps.stddev);
-      }
-      std::printf("\n");
-    }
-  }
+  // 3 s per point, split into 2 trials on derived seeds.
+  const svc::SweepSpec spec = bench::paper_grid(0xf11, [](svc::SweepPoint& point) {
+    point.kind = svc::TrialKind::kGoodput;
+    point.trials = 2;
+    point.duration_s = 1.5;
+  });
+  svc::SvcStats grid_stats;
+  const std::vector<svc::PointResult> results = bench::run_grid(spec, grid_stats);
+  bench::print_paper_grid(results, report,
+                          [](const svc::PointResult& result, bench::JsonReport::Row& row) {
+                            std::printf(" %9.2fkb", result.primary.mean / 1000.0);
+                            row.metric("goodput_bps_mean", result.primary.mean)
+                                .metric("goodput_bps_stddev", result.primary.stddev);
+                          });
+  bench::add_scheduler_row(report, "device", grid_stats);
 
   std::printf(
       "\nExpected shape: grows with frequency; peak at CSK16/4kHz (~5 kbps\n"

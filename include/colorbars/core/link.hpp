@@ -4,6 +4,7 @@
 // camera -> receiver, with the metrics the paper evaluates in §8
 // (symbol error rate, throughput, goodput, inter-frame loss ratio).
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,10 +16,11 @@
 #include "colorbars/rx/receiver.hpp"
 #include "colorbars/tx/transmitter.hpp"
 
-// Batch trial APIs (run_*_trials) fan independent Monte-Carlo trials
-// across the runtime thread pool with counter-derived seeds, so batch
-// results are byte-identical at every thread count (see DESIGN.md,
-// "runtime subsystem").
+// Trial grids run through svc::run_sweep. The trial recipe it shares
+// with the batch APIs (run_ser_trials, run_goodput_trials) lives here:
+// trial_config derives each trial's seed from its index, and stats_of
+// folds the trial-ordered results, so every path is byte-identical at
+// every thread and worker count (see DESIGN.md, "runtime subsystem").
 
 namespace colorbars::core {
 
@@ -170,17 +172,33 @@ struct BatchStats {
   double stddev = 0.0;
 };
 
+/// Folds metric(value) over `values`: the mean as the in-order sum over
+/// n, then the n - 1 sample standard deviation. The batch APIs below and
+/// svc::aggregate_point both aggregate through it, so their statistics
+/// agree to the bit.
+template <typename T, typename Metric>
+[[nodiscard]] BatchStats stats_of(const std::vector<T>& values, Metric metric) {
+  BatchStats stats;
+  stats.trials = static_cast<int>(values.size());
+  if (values.empty()) return stats;
+  double sum = 0.0;
+  for (const T& value : values) sum += metric(value);
+  stats.mean = sum / static_cast<double>(values.size());
+  if (values.size() < 2) return stats;
+  double sum_sq = 0.0;
+  for (const T& value : values) {
+    const double d = metric(value) - stats.mean;
+    sum_sq += d * d;
+  }
+  stats.stddev = std::sqrt(sum_sq / static_cast<double>(values.size() - 1));
+  return stats;
+}
+
 /// Aggregate of independent SER trials (Fig. 9 error bars).
 struct SerBatchResult {
   std::vector<SerResult> trials;
   BatchStats ser;
   BatchStats inter_frame_loss_ratio;
-};
-
-/// Aggregate of independent raw-throughput trials (Fig. 10).
-struct ThroughputBatchResult {
-  std::vector<ThroughputResult> trials;
-  BatchStats throughput_bps;
 };
 
 /// Aggregate of independent goodput trials (Fig. 11).
@@ -198,6 +216,42 @@ struct GoodputBatchResult {
                                                   double frame_rate_hz, double loss_ratio,
                                                   double illumination_ratio);
 
+/// The config of trial `trial` of a batch over `base`: `base` with the
+/// seed derive_stream_seed(base.seed, trial). The batch APIs and the svc
+/// job executor run trial t on a fresh LinkSimulator of this config, so
+/// a trial's result depends only on (base, t), never on the thread,
+/// worker or shard that ran it.
+[[nodiscard]] LinkConfig trial_config(const LinkConfig& base, int trial);
+
+/// Symbol slots in `duration_s` seconds at `symbol_rate_hz`, rounded up.
+/// Throws std::invalid_argument unless `duration_s` is finite and
+/// non-negative and the count fits an int. Every duration-sized run
+/// (run_throughput, each goodput burst) is sized here.
+[[nodiscard]] long long slots_in(double duration_s, double symbol_rate_hz);
+
+/// Throws std::invalid_argument unless run_ser(symbols) and a
+/// `duration_s` run at `symbol_rate_hz` are trial sizes the simulator
+/// accepts. svc::make_jobs and the svc job decoder run it, so a bad size
+/// fails before any trial runs.
+void validate_trial_size(int symbols, double duration_s, double symbol_rate_hz);
+
+/// The payload of one goodput burst on `link`: as many whole data
+/// packets as fit in `duration_s` (at least one), k random bytes each,
+/// drawn from `rng` in order. LinkSimulator::run_goodput, each scene
+/// luminaire and each adaptive control interval draw their payload here.
+/// Throws as slots_in does.
+[[nodiscard]] std::vector<std::uint8_t> draw_burst_payload(const LinkConfig& link,
+                                                           double duration_s,
+                                                           util::Xoshiro256& rng);
+
+/// The ground-truth credit of one decoded packet: its payload size when
+/// it is an OK data packet equal to one of `messages` at or after
+/// `next_truth` (which then moves past that message), else 0. Scanning a
+/// report's packets in order credits each sent message at most once.
+[[nodiscard]] std::size_t credit_packet(const rx::PacketRecord& record,
+                                        const std::vector<std::vector<std::uint8_t>>& messages,
+                                        std::size_t& next_truth);
+
 /// Orchestrates one transmitter/camera/receiver trio.
 class LinkSimulator {
  public:
@@ -214,30 +268,27 @@ class LinkSimulator {
   /// calibration preamble and the data symbols ride one concatenated
   /// emission trace through a single streamed capture, as on a real
   /// device (the camera never stops between "calibrate" and "measure").
+  /// Throws std::invalid_argument on a negative count.
   [[nodiscard]] SerResult run_ser(int symbol_count);
 
   /// Measures raw throughput over `duration_s` of random data symbols
   /// with the illumination schedule applied (Fig. 10): observed data
-  /// slots per second times bits per symbol.
+  /// slots per second times bits per symbol. Throws as slots_in does.
   [[nodiscard]] ThroughputResult run_throughput(double duration_s);
 
   /// Measures goodput (Fig. 11): RS-recovered payload bits per second
   /// over a stream of `duration_s` seconds of back-to-back data packets.
+  /// Throws as slots_in does.
   [[nodiscard]] LinkRunResult run_goodput(double duration_s);
 
-  // Batch trial APIs. Each trial runs a fresh simulator whose seed is
-  // derive_stream_seed(config.seed, trial_index); trials execute in
-  // parallel on the shared runtime pool and aggregate deterministically
-  // in trial order, so the batch is byte-identical at any thread count.
+  // Batch trial APIs: trial t runs a fresh simulator of
+  // trial_config(config, t); trials execute in parallel on the shared
+  // runtime pool and aggregate with stats_of in trial order. Grids use
+  // svc::run_sweep, which runs the same recipe.
 
   /// `trial_count` independent SER measurements of `symbols_per_trial`
   /// symbols each.
   [[nodiscard]] SerBatchResult run_ser_trials(int trial_count, int symbols_per_trial) const;
-
-  /// `trial_count` independent raw-throughput measurements of
-  /// `duration_s` seconds each.
-  [[nodiscard]] ThroughputBatchResult run_throughput_trials(int trial_count,
-                                                            double duration_s) const;
 
   /// `trial_count` independent goodput measurements of `duration_s`
   /// seconds each.

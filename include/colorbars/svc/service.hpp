@@ -1,11 +1,12 @@
 #pragma once
 
-// The sharded trial service (ROADMAP item: work-queue front end). A
-// server process decomposes a sweep into jobs (svc/sweep.hpp), spawns a
-// pool of worker processes — re-executions of its own binary, switched
-// into worker mode by environment (maybe_run_worker) — and dispatches
-// jobs over a Unix-domain socket using the length-prefixed JSON frames
-// of svc/wire.hpp.
+// The grid executor. run_sweep decomposes a sweep into jobs
+// (svc/sweep.hpp) and runs them either in this process, one job per
+// task on the runtime pool, or on a pool of worker processes —
+// re-executions of its own binary, switched into worker mode by
+// environment (maybe_run_worker) — over a Unix-domain socket using the
+// length-prefixed JSON frames of svc/wire.hpp. Both paths re-key the
+// job results into trial order and aggregate with aggregate_point.
 //
 // Fault tolerance: each worker heartbeats from a side thread while a
 // job runs; the scheduler kills and respawns a worker whose job passes
@@ -15,11 +16,10 @@
 // dispatches). Because every trial's seed derives from (point seed,
 // trial index), a retried or re-ordered job reproduces exactly the
 // bytes the first attempt would have produced — results are
-// byte-identical to the sequential run at any worker count, under any
-// schedule, including crash-and-retry schedules.
+// byte-identical to the in-process run at any pool size and worker
+// count, under any schedule, including crash-and-retry schedules.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +32,8 @@ namespace colorbars::svc {
 /// Scheduler tuning. Defaults suit the benches; tests shrink the
 /// timeouts to exercise the kill/retry paths quickly.
 struct ServiceConfig {
-  /// Worker processes to spawn (>= 1).
+  /// Worker processes to spawn; 0 runs the jobs in this process on the
+  /// runtime pool. Negative is an error.
   int workers = 2;
   /// Per-job wall-clock deadline, seconds: a job still unfinished this
   /// long after dispatch has hung its worker (logic wedge with a live
@@ -90,10 +91,13 @@ struct SvcStats {
   std::vector<WorkerStats> per_worker;
 };
 
-/// Runs the sweep across `config.workers` worker processes. The result
-/// is byte-identical to run_sweep_sequential(spec). Throws
-/// std::runtime_error when a job exhausts its retries, when the run is
-/// drained before completing, or on socket/spawn failure.
+/// Runs the sweep in this process (`config.workers` == 0) or across
+/// `config.workers` worker processes; the result is byte-identical
+/// either way, and at every pool size. Throws std::invalid_argument on
+/// a grid make_jobs rejects, and std::runtime_error on a negative
+/// worker count, when a job exhausts its retries, when the run is
+/// drained before completing, or on socket/spawn failure. In process,
+/// `stats` gets the job count and the wall time.
 [[nodiscard]] std::vector<PointResult> run_sweep(const SweepSpec& spec,
                                                  const ServiceConfig& config,
                                                  SvcStats* stats = nullptr);
@@ -104,10 +108,11 @@ struct AdaptiveJob {
   adapt::Trajectory trajectory{};
 };
 
-/// Runs a batch of adaptive simulations across the worker pool, one job
-/// per run, results in input order. Byte-identical to running each
-/// AdaptiveLinkSimulator in-process (modulo stream_stats, which stays
-/// in the worker — no aggregate consumer reads it).
+/// Runs a batch of adaptive simulations, one job per run, in this
+/// process or across the worker pool as run_sweep does; results in
+/// input order. Byte-identical to running each AdaptiveLinkSimulator in
+/// order (modulo stream_stats, which stays in the worker — no aggregate
+/// consumer reads it).
 [[nodiscard]] std::vector<adapt::AdaptiveRunResult> run_adaptive_batch(
     const std::vector<AdaptiveJob>& runs, const ServiceConfig& config,
     SvcStats* stats = nullptr);
@@ -120,9 +125,15 @@ struct AdaptiveJob {
 /// /proc/self/exe, so the binary is its own worker).
 void maybe_run_worker();
 
-/// Parses COLORBARS_GRID_WORKERS. Unset, empty, non-numeric or < 1
-/// yields nullopt — callers fall back to the sequential in-process
-/// path.
-[[nodiscard]] std::optional<int> grid_workers_from_env();
+/// True when `result` answers `job`: the same id, the same adaptive
+/// flag, and for a sweep job the same trial kind and exactly
+/// trial_end - trial_begin rows. The scheduler treats any other result
+/// like a bad frame: it kills the worker and requeues the job.
+[[nodiscard]] bool result_answers_job(const JobRequest& job, const JobResultMessage& result);
+
+/// Parses COLORBARS_GRID_WORKERS, the worker count of every figure
+/// grid. Unset, empty, non-numeric, < 1 or > 256 yields 0: the grid
+/// runs in this process.
+[[nodiscard]] int grid_workers_from_env();
 
 }  // namespace colorbars::svc

@@ -2,18 +2,16 @@
 
 // Sweep vocabulary for the trial service: a grid of sweep points (full
 // LinkConfig plus a measurement kind and trial count), its decomposition
-// into wire-level jobs, the worker-side job executor, and the
-// aggregation back into the BatchStats the sequential
-// LinkSimulator::run_*_trials entry points produce.
+// into wire-level jobs, the job executor, and the aggregation of each
+// point's trial rows into BatchStats.
 //
-// Byte-identity contract: run_job_trials executes trial t of a point
-// exactly as core run_trials does — a fresh LinkSimulator whose seed is
-// derive_stream_seed(point seed, t) — and aggregate_point replicates
-// link.cpp's stats_of arithmetic (sum in trial-index order, then the
-// n-1 sample stddev). Because every trial is a pure function of
-// (config, trial index), the sharded result is byte-identical to the
-// sequential run regardless of worker count, job order, retries or
-// crashes.
+// Byte-identity contract: run_job_trials runs trial t of a point on a
+// fresh LinkSimulator of core::trial_config(point config, t), and
+// aggregate_point folds the trial-ordered rows with core::stats_of: the
+// recipe and the arithmetic of LinkSimulator::run_*_trials. Every trial
+// is a pure function of (config, trial index), so svc::run_sweep is
+// byte-identical at every pool size and worker count, under any job
+// order, retries or crashes.
 
 #include <vector>
 
@@ -45,7 +43,7 @@ struct PointResult {
   std::vector<TrialResult> trials;
   /// The point's primary metric statistics — ser() for kSer,
   /// throughput_bps() for kThroughput, goodput_bps() for kGoodput —
-  /// bit-identical to the sequential batch entry points.
+  /// bit-identical to the batch entry points.
   core::BatchStats primary;
   /// Measured inter-frame loss ratio statistics (kSer only).
   core::BatchStats loss_ratio;
@@ -54,22 +52,19 @@ struct PointResult {
 /// Decomposes a sweep into jobs. Job ids are assigned in (point, shard)
 /// order; ordering is irrelevant to results (each job names its point
 /// and trial range explicitly). Throws std::invalid_argument if any
-/// point's config fails LinkConfig::validate, so both sweep paths
-/// reject a bad grid before any trial runs or any worker spawns.
+/// point's config fails LinkConfig::validate or its trial size fails
+/// core::validate_trial_size, so a bad grid fails before any trial runs
+/// or any worker spawns.
 [[nodiscard]] std::vector<JobRequest> make_jobs(const SweepSpec& spec);
 
-/// Executes one job's trials in-process (the worker's compute path, and
-/// the building block of the sequential reference). Throws
-/// std::invalid_argument on a config the simulators reject.
+/// Executes one job's trials in this process (what a worker, or the
+/// in-process sweep, runs per job). Throws std::invalid_argument on a
+/// config the simulators reject.
 [[nodiscard]] std::vector<TrialResult> run_job_trials(const JobRequest& job);
 
-/// Folds a point's trial-ordered results into BatchStats, replicating
-/// core link.cpp's stats_of arithmetic exactly.
+/// Folds a point's trial-ordered results into BatchStats with
+/// core::stats_of, as the batch APIs do.
 [[nodiscard]] PointResult aggregate_point(const SweepPoint& point,
                                           std::vector<TrialResult> trials);
-
-/// Runs the whole sweep in this process, sequentially over jobs — the
-/// reference the distributed scheduler must match byte for byte.
-[[nodiscard]] std::vector<PointResult> run_sweep_sequential(const SweepSpec& spec);
 
 }  // namespace colorbars::svc

@@ -22,8 +22,9 @@
 // Every serialized struct has one field list in wire.cpp, from which
 // both the encoder and the strict decoder derive: an integer field
 // accepts only an integer literal that fits its type, a double only a
-// finite number, an enum only a known label, and a decoded LinkConfig
-// must pass LinkConfig::validate.
+// finite number, an enum only a known label, a decoded LinkConfig must
+// pass LinkConfig::validate, and a sweep job's trial size must pass
+// core::validate_trial_size.
 
 #include <cstdint>
 #include <optional>

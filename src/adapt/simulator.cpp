@@ -1,6 +1,5 @@
 #include "colorbars/adapt/simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -70,10 +69,6 @@ core::LinkConfig AdaptiveLinkConfig::link_at(const Rung& rung,
 
 namespace {
 
-// Sub-stream constants mirroring core/link.cpp's per-capture derivation
-// (optical channel and frame-stage streams hang off the camera seed).
-constexpr std::uint64_t kOpticalStream = 0x0cc10ca1;
-constexpr std::uint64_t kFrameStageStream = 0x57a9e5;
 // Run-level sub-streams of the adaptive simulator's seed.
 constexpr std::uint64_t kCameraStream = 0xada0001;
 constexpr std::uint64_t kPayloadStream = 0xada0002;
@@ -186,14 +181,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
       if (record.ok) {
         ++interval.packets_ok;
         interval.corrected_symbols += record.corrected_errors + record.corrected_erasures;
-        for (std::size_t truth = home->next_truth; truth < home->messages.size();
-             ++truth) {
-          if (record.payload == home->messages[truth]) {
-            interval.recovered_bytes += static_cast<long long>(record.payload.size());
-            home->next_truth = truth + 1;
-            break;
-          }
-        }
+        interval.recovered_bytes += static_cast<long long>(
+            core::credit_packet(record, home->messages, home->next_truth));
       } else {
         ++interval.packets_failed;
         if (record.failure == rx::PacketFailure::kHeaderLost) ++interval.header_losses;
@@ -241,18 +230,10 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
     const Rung& rung = ladder[static_cast<std::size_t>(applied)];
     const core::LinkConfig link = config_.link_at(rung, spec);
     const tx::Transmitter transmitter(link.transmitter_config());
-    const rs::CodeParameters code = link.code();
-    const int packet_slots = transmitter.packetizer().data_packet_slots(code.n);
-    const auto interval_slots = static_cast<long long>(
-        std::ceil(config_.control_interval_s * rung.symbol_rate_hz));
-    const long long packet_count = std::max<long long>(1, interval_slots / packet_slots);
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(packet_count) *
-                                      static_cast<std::size_t>(code.k));
     util::Xoshiro256 payload_rng(
         runtime::derive_stream_seed(payload_base, static_cast<std::uint64_t>(interval)));
-    for (std::uint8_t& byte : payload) {
-      byte = static_cast<std::uint8_t>(payload_rng.below(256));
-    }
+    const std::vector<std::uint8_t> payload =
+        core::draw_burst_payload(link, config_.control_interval_s, payload_rng);
     const tx::Transmission transmission = transmitter.transmit(payload);
 
     // 3. Capture the burst and stream it into the persistent receiver,
@@ -264,11 +245,11 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
         runtime::derive_stream_seed(camera_base, static_cast<std::uint64_t>(interval));
     camera::RollingShutterCamera camera(
         config_.profile,
-        channel::OpticalChannel(spec,
-                                runtime::derive_stream_seed(camera_seed, kOpticalStream)),
+        channel::OpticalChannel(
+            spec, runtime::derive_stream_seed(camera_seed, frontend::kOpticalSeedStream)),
         camera_seed);
     const channel::StageChain stages(
-        spec, runtime::derive_stream_seed(camera_seed, kFrameStageStream));
+        spec, runtime::derive_stream_seed(camera_seed, frontend::kFrameStageSeedStream));
     const long long frame_period_slots =
         std::llround(rung.symbol_rate_hz / config_.profile.fps);
     const double symbol_duration_s = 1.0 / rung.symbol_rate_hz;

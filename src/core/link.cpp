@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -193,26 +194,16 @@ LinkRunResult LinkSimulator::run_payload(std::span<const std::uint8_t> payload) 
   result.payload_bytes = payload.size();
   result.air_time_s = transmission.duration_s();
 
-  // Credit every correctly recovered packet. RS validates the corrected
-  // codeword's syndromes, so a decoded payload either matches its
-  // ground-truth message or (with negligible probability) is a
-  // miscorrection — the sequential scan below only credits true matches.
   std::size_t next_truth = 0;
   for (const rx::PacketRecord& record : result.report.packets) {
-    if (record.kind != protocol::PacketKind::kData || !record.ok) continue;
-    for (std::size_t truth = next_truth; truth < transmission.packet_messages.size();
-         ++truth) {
-      if (record.payload == transmission.packet_messages[truth]) {
-        result.recovered_bytes += record.payload.size();
-        next_truth = truth + 1;
-        break;
-      }
-    }
+    result.recovered_bytes +=
+        credit_packet(record, transmission.packet_messages, next_truth);
   }
   return result;
 }
 
 SerResult LinkSimulator::run_ser(int symbol_count) {
+  validate_trial_size(symbol_count, /*duration_s=*/0.0, config_.symbol_rate_hz);
   const tx::TransmitterConfig tx_config = config_.transmitter_config();
   const tx::Transmitter transmitter(tx_config);
 
@@ -320,8 +311,7 @@ ThroughputResult LinkSimulator::run_throughput(double duration_s) {
   // for the requested duration.
   std::vector<protocol::ChannelSymbol> slots = transmitter.packetizer().build_calibration_packet();
   const std::size_t preamble = slots.size();
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.symbol_rate_hz));
+  const long long total_slots = slots_in(duration_s, config_.symbol_rate_hz);
   std::vector<bool> is_data;
   is_data.reserve(static_cast<std::size_t>(total_slots));
   for (long long slot = 0; slot < total_slots; ++slot) {
@@ -360,59 +350,76 @@ ThroughputResult LinkSimulator::run_throughput(double duration_s) {
 }
 
 LinkRunResult LinkSimulator::run_goodput(double duration_s) {
-  const tx::TransmitterConfig tx_config = config_.transmitter_config();
-  const protocol::Packetizer packetizer(tx_config.format,
-                                        csk::Constellation(config_.order));
-  // Estimate how many packets fit in the duration (packet slots plus the
-  // calibration packets at their cadence).
-  const int packet_slots = packetizer.data_packet_slots(tx_config.rs_n);
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.symbol_rate_hz));
-  const long long packet_count = std::max<long long>(1, total_slots / packet_slots);
+  return run_payload(draw_burst_payload(config_, duration_s, rng_));
+}
 
+LinkConfig trial_config(const LinkConfig& base, int trial) {
+  LinkConfig config = base;
+  config.seed = runtime::derive_stream_seed(base.seed, static_cast<std::uint64_t>(trial));
+  return config;
+}
+
+long long slots_in(double duration_s, double symbol_rate_hz) {
+  const double slots = std::ceil(duration_s * symbol_rate_hz);
+  // `!(x op y)` so NaN fails; an infinite duration fails the bound.
+  if (!(duration_s >= 0.0) || !(slots <= std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(
+        "LinkSimulator: duration_s must be finite and non-negative, with at most "
+        "INT_MAX symbol slots");
+  }
+  return static_cast<long long>(slots);
+}
+
+void validate_trial_size(int symbols, double duration_s, double symbol_rate_hz) {
+  if (symbols < 0) {
+    throw std::invalid_argument("LinkSimulator: the SER symbol count must be >= 0");
+  }
+  (void)slots_in(duration_s, symbol_rate_hz);
+}
+
+std::vector<std::uint8_t> draw_burst_payload(const LinkConfig& link, double duration_s,
+                                             util::Xoshiro256& rng) {
+  const tx::TransmitterConfig tx_config = link.transmitter_config();
+  const protocol::Packetizer packetizer(tx_config.format, csk::Constellation(link.order));
+  const int packet_slots = packetizer.data_packet_slots(tx_config.rs_n);
+  const long long packet_count =
+      std::max<long long>(1, slots_in(duration_s, link.symbol_rate_hz) / packet_slots);
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(packet_count) *
                                     static_cast<std::size_t>(tx_config.rs_k));
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(rng_.below(256));
+  for (std::uint8_t& byte : payload) byte = static_cast<std::uint8_t>(rng.below(256));
+  return payload;
+}
+
+std::size_t credit_packet(const rx::PacketRecord& record,
+                          const std::vector<std::vector<std::uint8_t>>& messages,
+                          std::size_t& next_truth) {
+  // An OK packet is one RS decoded, not one that was sent: when errors
+  // exhaust the parity, RS can "correct" a codeword into bytes no
+  // transmitter sent (a probe over CSK32 runs counted 12 such packets in
+  // 1,961 OK ones). Matching the transmitted messages is what keeps
+  // those miscorrections out of goodput.
+  if (record.kind != protocol::PacketKind::kData || !record.ok) return 0;
+  for (std::size_t truth = next_truth; truth < messages.size(); ++truth) {
+    if (record.payload == messages[truth]) {
+      next_truth = truth + 1;
+      return record.payload.size();
+    }
   }
-  return run_payload(payload);
+  return 0;
 }
 
 namespace {
 
-/// Mean and sample standard deviation of `metric` over `values`.
-template <typename T, typename Metric>
-BatchStats stats_of(const std::vector<T>& values, Metric metric) {
-  BatchStats stats;
-  stats.trials = static_cast<int>(values.size());
-  if (values.empty()) return stats;
-  double sum = 0.0;
-  for (const T& value : values) sum += metric(value);
-  stats.mean = sum / static_cast<double>(values.size());
-  if (values.size() < 2) return stats;
-  double sum_sq = 0.0;
-  for (const T& value : values) {
-    const double d = metric(value) - stats.mean;
-    sum_sq += d * d;
-  }
-  stats.stddev = std::sqrt(sum_sq / static_cast<double>(values.size() - 1));
-  return stats;
-}
-
-/// Runs `trial_count` independent trials in parallel, each on a fresh
-/// simulator seeded with derive_stream_seed(base config seed, trial).
-/// Results land in trial-index order, so aggregation is deterministic
-/// regardless of scheduling.
+/// Runs `trial_count` independent trials in parallel, trial t on a fresh
+/// simulator of trial_config(base, t). Results land in trial-index
+/// order, so aggregation is deterministic regardless of scheduling.
 template <typename Result, typename Trial>
 std::vector<Result> run_trials(const LinkConfig& base, int trial_count, Trial trial) {
   std::vector<Result> results(static_cast<std::size_t>(std::max(trial_count, 0)));
   runtime::parallel_for(0, static_cast<std::int64_t>(results.size()), 1,
                         [&](std::int64_t lo, std::int64_t hi) {
                           for (std::int64_t i = lo; i < hi; ++i) {
-                            LinkConfig config = base;
-                            config.seed = runtime::derive_stream_seed(
-                                base.seed, static_cast<std::uint64_t>(i));
-                            LinkSimulator simulator(std::move(config));
+                            LinkSimulator simulator(trial_config(base, static_cast<int>(i)));
                             results[static_cast<std::size_t>(i)] = trial(simulator);
                           }
                         });
@@ -429,17 +436,6 @@ SerBatchResult LinkSimulator::run_ser_trials(int trial_count, int symbols_per_tr
   batch.ser = stats_of(batch.trials, [](const SerResult& r) { return r.ser(); });
   batch.inter_frame_loss_ratio =
       stats_of(batch.trials, [](const SerResult& r) { return r.inter_frame_loss_ratio; });
-  return batch;
-}
-
-ThroughputBatchResult LinkSimulator::run_throughput_trials(int trial_count,
-                                                           double duration_s) const {
-  ThroughputBatchResult batch;
-  batch.trials = run_trials<ThroughputResult>(
-      config_, trial_count,
-      [&](LinkSimulator& sim) { return sim.run_throughput(duration_s); });
-  batch.throughput_bps = stats_of(
-      batch.trials, [](const ThroughputResult& r) { return r.throughput_bps(); });
   return batch;
 }
 

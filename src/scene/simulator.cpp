@@ -1,10 +1,8 @@
 #include "colorbars/scene/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "colorbars/channel/stages.hpp"
-#include "colorbars/protocol/packet.hpp"
 #include "colorbars/runtime/seed.hpp"
 
 namespace colorbars::scene {
@@ -19,28 +17,6 @@ constexpr std::uint64_t kSceneAmbientStream = 0x5ce2ea6b;
 constexpr std::uint64_t kSceneStageStream = 0x5ce2f5a9;
 constexpr std::uint64_t kSceneLuminaireStream = 0x5ce21ed5;
 
-/// Credits ground-truth-verified bytes from one decode lane against one
-/// luminaire's transmitted packet sequence: the same sequential
-/// prefix-match scan core::LinkSimulator::run_payload uses, so a
-/// miscorrected or cross-luminaire packet is never credited.
-void credit_lane(const rx::ReceiverReport& report,
-                 const std::vector<std::vector<std::uint8_t>>& truth,
-                 LuminaireOutcome& outcome) {
-  std::size_t next_truth = 0;
-  for (const rx::PacketRecord& record : report.packets) {
-    ++outcome.packets;
-    if (record.ok) ++outcome.packets_ok;
-    if (record.kind != protocol::PacketKind::kData || !record.ok) continue;
-    for (std::size_t t = next_truth; t < truth.size(); ++t) {
-      if (record.payload == truth[t]) {
-        outcome.recovered_bytes += record.payload.size();
-        next_truth = t + 1;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 SceneSimulator::SceneSimulator(SceneConfig config)
@@ -51,14 +27,7 @@ SceneSimulator::SceneSimulator(SceneConfig config)
 
 SceneRunResult SceneSimulator::run_goodput(double duration_s) {
   const std::size_t luminaire_count = config_.scene.luminaires.size();
-  const tx::TransmitterConfig tx_config = config_.link.transmitter_config();
-  const tx::Transmitter transmitter(tx_config);
-  const protocol::Packetizer packetizer(tx_config.format,
-                                        csk::Constellation(config_.link.order));
-  const int packet_slots = packetizer.data_packet_slots(tx_config.rs_n);
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.link.symbol_rate_hz));
-  const long long packet_count = std::max<long long>(1, total_slots / packet_slots);
+  const tx::Transmitter transmitter(config_.link.transmitter_config());
 
   // Each luminaire streams its own independent payload; the draws happen
   // in luminaire order from the one member RNG, so a scene run is a
@@ -67,11 +36,7 @@ SceneRunResult SceneSimulator::run_goodput(double duration_s) {
   std::vector<tx::Transmission> transmissions;
   transmissions.reserve(luminaire_count);
   for (std::size_t i = 0; i < luminaire_count; ++i) {
-    payloads[i].resize(static_cast<std::size_t>(packet_count) *
-                       static_cast<std::size_t>(tx_config.rs_k));
-    for (std::uint8_t& byte : payloads[i]) {
-      byte = static_cast<std::uint8_t>(rng_.below(256));
-    }
+    payloads[i] = core::draw_burst_payload(config_.link, duration_s, rng_);
     transmissions.push_back(transmitter.transmit(payloads[i]));
   }
 
@@ -145,8 +110,15 @@ SceneRunResult SceneSimulator::run_goodput(double duration_s) {
     if (outcome.lane_id >= 0) continue;
     outcome.lane_id = lane.roi_id;
     outcome.region = lane.region;
-    credit_lane(lane.receiver->report(), transmissions[static_cast<std::size_t>(best)].packet_messages,
-                outcome);
+    // Credit ground-truth-verified bytes only, so a miscorrected or
+    // cross-luminaire packet is never credited.
+    const auto& truth = transmissions[static_cast<std::size_t>(best)].packet_messages;
+    std::size_t next_truth = 0;
+    for (const rx::PacketRecord& record : lane.receiver->report().packets) {
+      ++outcome.packets;
+      if (record.ok) ++outcome.packets_ok;
+      outcome.recovered_bytes += core::credit_packet(record, truth, next_truth);
+    }
   }
 
   for (std::size_t i = 0; i < luminaire_count; ++i) {

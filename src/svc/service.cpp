@@ -22,6 +22,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "colorbars/runtime/thread_pool.hpp"
+
 extern char** environ;
 
 namespace colorbars::svc {
@@ -137,9 +139,10 @@ class HeartbeatThread {
   std::thread thread_;
 };
 
-/// Executes one job in-process. Kept noexcept-ish by policy: a throwing
-/// trial (which parse-time validation should have prevented) kills the
-/// worker, and the scheduler's retry path owns recovery.
+/// Executes one job in this process: a worker's job loop, or one task of
+/// the in-process sweep. In a worker, a throwing trial (which parse-time
+/// validation should have prevented) kills the worker, and the
+/// scheduler's retry path owns recovery.
 JobResultMessage execute_job(const JobRequest& job, int worker_index) {
   JobResultMessage result;
   result.id = job.id;
@@ -304,7 +307,6 @@ pid_t spawn_worker(const std::string& socket_path, int index, int generation,
 }
 
 struct JobState {
-  JobRequest request;
   int retries = 0;
   bool completed = false;
 };
@@ -336,19 +338,14 @@ struct PendingConnection {
 /// collects results by job id. Single-threaded poll() loop.
 class Scheduler {
  public:
-  Scheduler(std::vector<JobRequest> jobs, const ServiceConfig& config)
-      : config_(config) {
-    if (config_.workers < 1) {
-      throw std::runtime_error("svc: worker count must be >= 1");
-    }
-    jobs_.reserve(jobs.size());
-    for (JobRequest& job : jobs) {
+  Scheduler(const std::vector<JobRequest>& jobs, const ServiceConfig& config)
+      : config_(config), jobs_(jobs), states_(jobs.size()) {
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
       // Wire ids must equal vector indices — both make_jobs and the
       // adaptive batch assign them that way — so results key directly.
-      if (job.id != static_cast<long long>(jobs_.size())) {
+      if (jobs_[i].id != static_cast<long long>(i)) {
         throw std::runtime_error("svc: job ids must be dense and ordered");
       }
-      jobs_.push_back(JobState{std::move(job)});
     }
   }
 
@@ -438,8 +435,8 @@ class Scheduler {
       if (slot.fd < 0 || !slot.hello_seen || slot.current_job >= 0) continue;
       const long long job_index = queue_.front();
       queue_.pop_front();
-      JobState& job = jobs_[static_cast<std::size_t>(job_index)];
-      const std::string frame = encode_frame(encode_job(job.request));
+      const std::string frame =
+          encode_frame(encode_job(jobs_[static_cast<std::size_t>(job_index)]));
       if (!send_all(slot.fd, frame)) {
         queue_.push_front(job_index);
         worker_died(slot, "send failed");
@@ -588,7 +585,12 @@ class Scheduler {
         // the authoritative result is the one recorded first.
         continue;
       }
-      JobState& job = jobs_[static_cast<std::size_t>(slot.current_job)];
+      const auto job_index = static_cast<std::size_t>(slot.current_job);
+      if (!result_answers_job(jobs_[job_index], message->result)) {
+        worker_died(slot, "result does not answer job " + std::to_string(slot.current_job));
+        return;
+      }
+      JobState& job = states_[job_index];
       if (!job.completed) {
         job.completed = true;
         results_[static_cast<std::size_t>(slot.current_job)] = message->result;
@@ -613,7 +615,8 @@ class Scheduler {
     }
     if (slot.fd >= 0) ::close(slot.fd);
     if (slot.current_job >= 0) {
-      JobState& job = jobs_[static_cast<std::size_t>(slot.current_job)];
+      const long long job_id = slot.current_job;
+      JobState& job = states_[static_cast<std::size_t>(job_id)];
       ++job.retries;
       ++slot.stats.retries;
       ++stats_.retries;
@@ -623,7 +626,7 @@ class Scheduler {
         slot.current_job = -1;
         cleanup();
         throw std::runtime_error(
-            "svc: job " + std::to_string(job.request.id) + " failed " +
+            "svc: job " + std::to_string(job_id) + " failed " +
             std::to_string(job.retries) + " times (worker " +
             std::to_string(slot.index) + ": " + reason + ")");
       }
@@ -721,7 +724,8 @@ class Scheduler {
   }
 
   ServiceConfig config_;
-  std::vector<JobState> jobs_;
+  const std::vector<JobRequest>& jobs_;
+  std::vector<JobState> states_;
   std::vector<JobResultMessage> results_;
   std::deque<long long> queue_;
   std::vector<WorkerSlot> slots_;
@@ -733,39 +737,58 @@ class Scheduler {
   SvcStats stats_;
 };
 
+/// Runs every job and returns the results indexed by job id: on
+/// `config.workers` worker processes, or with 0 workers in this
+/// process, one job per task on the runtime pool.
+std::vector<JobResultMessage> run_jobs(const std::vector<JobRequest>& jobs,
+                                       const ServiceConfig& config, SvcStats* stats) {
+  if (config.workers < 0) throw std::runtime_error("svc: worker count must be >= 0");
+  if (config.workers > 0) return Scheduler(jobs, config).run(stats);
+  const double start_s = now_s();
+  std::vector<JobResultMessage> results(jobs.size());
+  runtime::parallel_for(0, static_cast<std::int64_t>(jobs.size()), 1,
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          for (std::int64_t i = lo; i < hi; ++i) {
+                            const auto index = static_cast<std::size_t>(i);
+                            results[index] = execute_job(jobs[index], -1);
+                          }
+                        });
+  if (stats != nullptr) {
+    *stats = SvcStats{};
+    stats->jobs_total = static_cast<long long>(jobs.size());
+    stats->jobs_completed = stats->jobs_total;
+    stats->wall_time_s = now_s() - start_s;
+  }
+  return results;
+}
+
 }  // namespace
+
+bool result_answers_job(const JobRequest& job, const JobResultMessage& result) {
+  if (result.id != job.id || result.is_adaptive != job.is_adaptive) return false;
+  return job.is_adaptive ||
+         (result.trials_kind == job.kind &&
+          static_cast<long long>(result.trials.size()) ==
+              static_cast<long long>(job.trial_end) - job.trial_begin);
+}
 
 std::vector<PointResult> run_sweep(const SweepSpec& spec,
                                    const ServiceConfig& config, SvcStats* stats) {
-  std::vector<JobRequest> jobs = make_jobs(spec);
-  // Remember each job's (point, trial range) before the scheduler takes
-  // ownership — results key back through it.
-  struct Shard {
-    int point;
-    int trial_begin;
-  };
-  std::vector<Shard> shards;
-  shards.reserve(jobs.size());
-  for (const JobRequest& job : jobs) {
-    shards.push_back({job.point, job.trial_begin});
-  }
-  Scheduler scheduler(std::move(jobs), config);
-  const std::vector<JobResultMessage> results = scheduler.run(stats);
+  const std::vector<JobRequest> jobs = make_jobs(spec);
+  const std::vector<JobResultMessage> results = run_jobs(jobs, config, stats);
 
   // Re-key (job -> trials) into (point, trial) slots, then aggregate in
-  // trial-index order — identical arithmetic to the sequential path.
+  // trial-index order. Every result holds exactly its job's rows (the
+  // scheduler checks result_answers_job), so each lands in its range.
   std::vector<std::vector<TrialResult>> per_point(spec.points.size());
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     per_point[p].resize(
         static_cast<std::size_t>(std::max(0, spec.points[p].trials)));
   }
-  for (const JobResultMessage& result : results) {
-    const Shard& shard = shards[static_cast<std::size_t>(result.id)];
-    for (std::size_t i = 0; i < result.trials.size(); ++i) {
-      per_point[static_cast<std::size_t>(shard.point)]
-               [static_cast<std::size_t>(shard.trial_begin) + i] =
-          result.trials[i];
-    }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    std::copy(results[j].trials.begin(), results[j].trials.end(),
+              per_point[static_cast<std::size_t>(jobs[j].point)].begin() +
+                  jobs[j].trial_begin);
   }
   std::vector<PointResult> aggregated;
   aggregated.reserve(spec.points.size());
@@ -789,12 +812,10 @@ std::vector<adapt::AdaptiveRunResult> run_adaptive_batch(
     job.trajectory = runs[i].trajectory;
     jobs.push_back(std::move(job));
   }
-  Scheduler scheduler(std::move(jobs), config);
-  std::vector<JobResultMessage> results = scheduler.run(stats);
-  std::vector<adapt::AdaptiveRunResult> out(runs.size());
-  for (JobResultMessage& result : results) {
-    out[static_cast<std::size_t>(result.id)] = std::move(result.adaptive);
-  }
+  std::vector<JobResultMessage> results = run_jobs(jobs, config, stats);
+  std::vector<adapt::AdaptiveRunResult> out;
+  out.reserve(results.size());
+  for (JobResultMessage& result : results) out.push_back(std::move(result.adaptive));
   return out;
 }
 
@@ -814,14 +835,12 @@ void maybe_run_worker() {
   ::_exit(status);
 }
 
-std::optional<int> grid_workers_from_env() {
+int grid_workers_from_env() {
   const char* value = std::getenv("COLORBARS_GRID_WORKERS");
-  if (value == nullptr || *value == '\0') return std::nullopt;
+  if (value == nullptr || *value == '\0') return 0;
   char* end = nullptr;
   const long workers = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || workers < 1 || workers > 256) {
-    return std::nullopt;
-  }
+  if (end == value || *end != '\0' || workers < 1 || workers > 256) return 0;
   return static_cast<int>(workers);
 }
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <utility>
-
-#include "colorbars/runtime/seed.hpp"
 
 namespace colorbars::svc {
 
@@ -43,28 +39,6 @@ double primary_metric(TrialKind kind, const TrialResult& trial) {
   return 0.0;
 }
 
-/// Replicates link.cpp's stats_of over the wire-level trial rows: mean
-/// as the trial-ordered sum over n, then the n-1 sample stddev. The
-/// arithmetic (and its floating-point evaluation order) must stay
-/// identical to the sequential batch entry points.
-template <typename Metric>
-core::BatchStats stats_of(const std::vector<TrialResult>& trials, Metric metric) {
-  core::BatchStats stats;
-  stats.trials = static_cast<int>(trials.size());
-  if (trials.empty()) return stats;
-  double sum = 0.0;
-  for (const TrialResult& trial : trials) sum += metric(trial);
-  stats.mean = sum / static_cast<double>(trials.size());
-  if (trials.size() < 2) return stats;
-  double sum_sq = 0.0;
-  for (const TrialResult& trial : trials) {
-    const double d = metric(trial) - stats.mean;
-    sum_sq += d * d;
-  }
-  stats.stddev = std::sqrt(sum_sq / static_cast<double>(trials.size() - 1));
-  return stats;
-}
-
 }  // namespace
 
 std::vector<JobRequest> make_jobs(const SweepSpec& spec) {
@@ -73,6 +47,8 @@ std::vector<JobRequest> make_jobs(const SweepSpec& spec) {
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     const SweepPoint& point = spec.points[p];
     point.config.validate();
+    core::validate_trial_size(point.symbols_per_trial, point.duration_s,
+                              point.config.symbol_rate_hz);
     const int trials = point.trials < 0 ? 0 : point.trials;
     const int grain = spec.trials_per_job > 0 ? spec.trials_per_job : trials;
     for (int begin = 0; begin < trials; begin += grain > 0 ? grain : trials) {
@@ -98,14 +74,9 @@ std::vector<TrialResult> run_job_trials(const JobRequest& job) {
   results.reserve(static_cast<std::size_t>(
       std::max(0, job.trial_end - job.trial_begin)));
   for (int trial = job.trial_begin; trial < job.trial_end; ++trial) {
-    // Exactly core run_trials' per-trial derivation: a fresh simulator
-    // whose seed is derive_stream_seed(point seed, trial index). This
-    // line is the whole byte-identity mechanism — the result depends
-    // only on (config, trial), never on which worker or shard ran it.
-    core::LinkConfig config = job.config;
-    config.seed = runtime::derive_stream_seed(job.config.seed,
-                                              static_cast<std::uint64_t>(trial));
-    core::LinkSimulator simulator(std::move(config));
+    // The batch APIs' per-trial recipe: the whole byte-identity
+    // mechanism, since the result depends only on (config, trial).
+    core::LinkSimulator simulator(core::trial_config(job.config, trial));
     TrialResult result;
     switch (job.kind) {
       case TrialKind::kSer:
@@ -132,35 +103,15 @@ std::vector<TrialResult> run_job_trials(const JobRequest& job) {
 PointResult aggregate_point(const SweepPoint& point, std::vector<TrialResult> trials) {
   PointResult result;
   result.trials = std::move(trials);
-  result.primary = stats_of(result.trials, [&](const TrialResult& trial) {
+  result.primary = core::stats_of(result.trials, [&](const TrialResult& trial) {
     return primary_metric(point.kind, trial);
   });
   if (point.kind == TrialKind::kSer) {
-    result.loss_ratio = stats_of(result.trials, [](const TrialResult& trial) {
+    result.loss_ratio = core::stats_of(result.trials, [](const TrialResult& trial) {
       return trial.ser.inter_frame_loss_ratio;
     });
   }
   return result;
-}
-
-std::vector<PointResult> run_sweep_sequential(const SweepSpec& spec) {
-  std::vector<std::vector<TrialResult>> per_point(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    per_point[p].resize(static_cast<std::size_t>(std::max(0, spec.points[p].trials)));
-  }
-  for (const JobRequest& job : make_jobs(spec)) {
-    std::vector<TrialResult> trials = run_job_trials(job);
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      per_point[static_cast<std::size_t>(job.point)]
-               [static_cast<std::size_t>(job.trial_begin) + i] = trials[i];
-    }
-  }
-  std::vector<PointResult> results;
-  results.reserve(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    results.push_back(aggregate_point(spec.points[p], std::move(per_point[p])));
-  }
-  return results;
 }
 
 }  // namespace colorbars::svc

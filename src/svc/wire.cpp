@@ -560,7 +560,6 @@ class Decoder {
     }
   }
 
- private:
   /// Runs `body` unless a read failed; a std::invalid_argument it throws
   /// becomes the error.
   void guard(const char* prefix, auto&& body) {
@@ -572,6 +571,7 @@ class Decoder {
     }
   }
 
+ private:
   std::string* error_;
   std::string path_;
   bool ok_ = true;
@@ -689,6 +689,10 @@ std::optional<Message> parse_message(std::string_view payload, std::string* erro
       decoder.field(json, "trajectory", job.trajectory);
     } else {
       decoder.field(json, "config", job.config);
+      decoder.guard("trial size: ", [&] {
+        core::validate_trial_size(job.symbols_per_trial, job.duration_s,
+                                  job.config.symbol_rate_hz);
+      });
     }
   } else if (message.type == "result") {
     JobResultMessage& result = message.result;

@@ -14,6 +14,7 @@
 #include "colorbars/runtime/thread_pool.hpp"
 #include "colorbars/rx/streaming.hpp"
 #include "colorbars/scene/simulator.hpp"
+#include "colorbars/svc/service.hpp"
 #include "colorbars/tx/transmitter.hpp"
 #include "colorbars/util/rng.hpp"
 
@@ -101,15 +102,25 @@ TEST(Determinism, SerTrialsIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, ThroughputTrialsIdenticalAcrossThreadCounts) {
+  // Raw-throughput trials run only through the grid executor: one point,
+  // its three trials as three jobs on the in-process pool.
   auto run = [] {
-    core::LinkSimulator sim(small_link());
-    const core::ThroughputBatchResult batch = sim.run_throughput_trials(3, 0.4);
+    svc::SweepSpec spec;
+    svc::SweepPoint point;
+    point.config = small_link();
+    point.kind = svc::TrialKind::kThroughput;
+    point.trials = 3;
+    point.duration_s = 0.4;
+    spec.points.push_back(point);
+    svc::ServiceConfig in_process;
+    in_process.workers = 0;
+    const svc::PointResult result = svc::run_sweep(spec, in_process).front();
     std::vector<long long> flat;
-    for (const core::ThroughputResult& trial : batch.trials) {
-      flat.push_back(trial.data_slots_sent);
-      flat.push_back(trial.data_slots_observed);
+    for (const svc::TrialResult& trial : result.trials) {
+      flat.push_back(trial.throughput.data_slots_sent);
+      flat.push_back(trial.throughput.data_slots_observed);
     }
-    flat.push_back(static_cast<long long>(batch.throughput_bps.mean * 1e9));
+    flat.push_back(static_cast<long long>(result.primary.mean * 1e9));
     return flat;
   };
   expect_same_at_all_thread_counts(run);

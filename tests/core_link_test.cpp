@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "colorbars/tx/transmitter.hpp"
@@ -248,6 +249,57 @@ TEST(LinkSimulator, TinyCalibrationRateMeansNeverAndNonFiniteIsRejected) {
     EXPECT_THROW(config.validate(), std::invalid_argument) << rate;
     EXPECT_THROW((void)LinkSimulator(config), std::invalid_argument) << rate;
   }
+}
+
+/// Durations no run can take: negative, not finite, or so long that the
+/// slot count passes INT_MAX (converting 1e300 s × rate to an integer
+/// is undefined behaviour).
+const double kImpossibleDurations[] = {-1.0,
+                                       -1e-300,
+                                       std::numeric_limits<double>::quiet_NaN(),
+                                       std::numeric_limits<double>::infinity(),
+                                       -std::numeric_limits<double>::infinity(),
+                                       1e300,
+                                       (std::numeric_limits<int>::max() + 1.0) / 2000.0};
+
+TEST(LinkSimulator, RunSerRejectsANegativeCount) {
+  LinkConfig config;
+  config.symbol_rate_hz = 2000;
+  LinkSimulator simulator(config);
+  EXPECT_THROW((void)simulator.run_ser(-1), std::invalid_argument);
+  EXPECT_THROW(validate_trial_size(-1, 0.0, 2000.0), std::invalid_argument);
+  EXPECT_NO_THROW(validate_trial_size(0, 0.0, 2000.0));
+}
+
+TEST(LinkSimulator, RunThroughputRejectsImpossibleDurations) {
+  LinkConfig config;
+  config.symbol_rate_hz = 2000;
+  LinkSimulator simulator(config);
+  for (const double duration : kImpossibleDurations) {
+    EXPECT_THROW((void)simulator.run_throughput(duration), std::invalid_argument) << duration;
+    EXPECT_THROW(validate_trial_size(0, duration, 2000.0), std::invalid_argument) << duration;
+  }
+  // The bound is exact: INT_MAX slots fit, one more does not.
+  const double max_slots = std::numeric_limits<int>::max();
+  EXPECT_EQ(slots_in(max_slots, 1.0), std::numeric_limits<int>::max());
+  EXPECT_THROW((void)slots_in(max_slots + 1.0, 1.0), std::invalid_argument);
+  EXPECT_EQ(slots_in(0.0, 2000.0), 0);
+  EXPECT_EQ(slots_in(0.0004, 2000.0), 1);
+}
+
+TEST(LinkSimulator, RunGoodputRejectsImpossibleDurations) {
+  LinkConfig config;
+  config.symbol_rate_hz = 2000;
+  LinkSimulator simulator(config);
+  util::Xoshiro256 rng(1);
+  for (const double duration : kImpossibleDurations) {
+    EXPECT_THROW((void)simulator.run_goodput(duration), std::invalid_argument) << duration;
+    EXPECT_THROW((void)draw_burst_payload(config, duration, rng), std::invalid_argument)
+        << duration;
+  }
+  // A zero-length burst still carries one packet.
+  EXPECT_EQ(draw_burst_payload(config, 0.0, rng).size(),
+            static_cast<std::size_t>(config.code().k));
 }
 
 TEST(LinkSimulator, ResultsAreReproducibleForSameSeed) {

@@ -499,6 +499,19 @@ TEST(SvcWire, ParseMessageRejectsMalformedEnvelopes) {
                     &error)
           .has_value());
   EXPECT_NE(error.find("job_id"), std::string::npos) << error;
+  // Trial sizes no run can take — a negative SER count, a duration whose
+  // slot count passes INT_MAX — fail at the boundary, not in a worker.
+  JobRequest job;
+  job.trial_end = 1;
+  ASSERT_TRUE(parse_message(encode_job(job), &error).has_value()) << error;
+  job.symbols_per_trial = -1;
+  EXPECT_FALSE(parse_message(encode_job(job), &error).has_value());
+  EXPECT_NE(error.find("trial size"), std::string::npos) << error;
+  job.symbols_per_trial = 0;
+  job.kind = TrialKind::kGoodput;
+  job.duration_s = 1e300;
+  EXPECT_FALSE(parse_message(encode_job(job), &error).has_value());
+  EXPECT_NE(error.find("trial size"), std::string::npos) << error;
 }
 
 // --- frozen wire bytes ---

@@ -1,19 +1,16 @@
-// trial_grid: command-line front end of the sharded trial service
-// (colorbars::svc). Three modes:
+// trial_grid: command-line front end of the grid executor
+// (colorbars::svc::run_sweep). Two modes:
 //
 //   trial_grid sweep  [--workers N] [--trials T] [--trials-per-job J]
 //                     [--orders 8,16] [--frequencies 1000,2000]
-//                     [--symbols S]
-//       Runs an SER sweep grid. --workers 0 (default) runs the
-//       sequential in-process reference; N >= 1 runs the same grid
-//       through N spawned worker processes — output is byte-identical
-//       either way.
-//
-//   trial_grid serve  [--socket PATH] [--workers N] ...sweep flags...
-//       Like sweep, but on an explicit Unix-socket path and with the
-//       scheduler statistics table printed after the run. SIGTERM
-//       drains gracefully: in-flight jobs finish, nothing new is
-//       dispatched.
+//                     [--symbols S] [--socket PATH]
+//       Runs an SER sweep grid. --workers 0 (default) runs it in this
+//       process on the runtime pool (COLORBARS_THREADS); N >= 1 runs
+//       the same grid through N spawned worker processes, on an
+//       explicit Unix-socket path with --socket, and prints the
+//       scheduler statistics to stderr. Output is byte-identical
+//       either way. SIGTERM drains a worker run gracefully: in-flight
+//       jobs finish, nothing new is dispatched.
 //
 //   trial_grid worker --socket PATH [--index I] [--generation G]
 //       Connects to a running server as a worker. (Servers normally
@@ -62,11 +59,11 @@ std::vector<std::string> split_list(const char* text) {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: trial_grid sweep|serve|worker [options]\n"
-               "  sweep/serve: [--workers N] [--trials T] [--trials-per-job J]\n"
-               "               [--orders 8,16] [--frequencies 1000,2000]\n"
-               "               [--symbols S] [--socket PATH]\n"
-               "  worker:      --socket PATH [--index I] [--generation G]\n");
+               "usage: trial_grid sweep|worker [options]\n"
+               "  sweep:  [--workers N] [--trials T] [--trials-per-job J]\n"
+               "          [--orders 8,16] [--frequencies 1000,2000]\n"
+               "          [--symbols S] [--socket PATH]\n"
+               "  worker: --socket PATH [--index I] [--generation G]\n");
   std::exit(64);
 }
 
@@ -136,7 +133,7 @@ svc::SweepSpec build_spec(const Options& options) {
 }
 
 // Scheduler stats go to stderr: stdout carries only the result table,
-// so a sharded run's stdout diffs clean against the sequential run.
+// so a sharded run's stdout diffs clean against the in-process run.
 void print_stats(const svc::SvcStats& stats) {
   std::fprintf(stderr,
                "\nscheduler: %lld jobs, %d workers, %.2fs wall, "
@@ -155,18 +152,13 @@ void print_stats(const svc::SvcStats& stats) {
   }
 }
 
-int run_grid(const Options& options, bool print_scheduler_stats) {
+int run_grid(const Options& options) {
   const svc::SweepSpec spec = build_spec(options);
-  std::vector<svc::PointResult> results;
+  svc::ServiceConfig config;
+  config.workers = options.workers;
+  config.socket_path = options.socket_path;
   svc::SvcStats stats;
-  if (options.workers >= 1) {
-    svc::ServiceConfig config;
-    config.workers = options.workers;
-    config.socket_path = options.socket_path;
-    results = svc::run_sweep(spec, config, &stats);
-  } else {
-    results = svc::run_sweep_sequential(spec);
-  }
+  const std::vector<svc::PointResult> results = svc::run_sweep(spec, config, &stats);
 
   std::printf("%-8s %-12s %-8s %-12s %-12s\n", "order", "rate_hz", "trials",
               "ser_mean", "ser_stddev");
@@ -177,7 +169,7 @@ int run_grid(const Options& options, bool print_scheduler_stats) {
                 point.config.symbol_rate_hz, results[i].primary.trials,
                 results[i].primary.mean, results[i].primary.stddev);
   }
-  if (print_scheduler_stats && options.workers >= 1) print_stats(stats);
+  if (options.workers >= 1) print_stats(stats);
   std::printf("grid done: %zu points\n", results.size());
   return 0;
 }
@@ -205,11 +197,7 @@ int main(int argc, char** argv) {
   if (!parse_options(argc, argv, options)) usage();
 
   try {
-    if (mode == "sweep") return run_grid(options, /*print_scheduler_stats=*/true);
-    if (mode == "serve") {
-      if (options.workers < 1) options.workers = 2;
-      return run_grid(options, /*print_scheduler_stats=*/true);
-    }
+    if (mode == "sweep") return run_grid(options);
     if (mode == "worker") return run_manual_worker(options);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "trial_grid: %s\n", error.what());
