@@ -221,12 +221,11 @@ void BM_CameraCaptureFrame(benchmark::State& state) {
 BENCHMARK(BM_CameraCaptureFrame);
 
 // The render's noise draws for one Nexus 5 frame (2 normals per pixel),
-// row by row: Arg(0) the call-by-call normal() loop, Arg(1) one
-// fill_normal per row with the reference polar finish, Arg(2) the same
+// row by row: mode 0 the call-by-call normal() loop, mode 1 one
+// fill_normal per row with the reference polar finish, mode 2 the same
 // with the dispatched simd::polar_finish the render passes. All three
 // produce the same bytes.
-void BM_FillNormal(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+void fill_normal_frame(benchmark::State& state, int mode) {
   const camera::SensorProfile profile = camera::nexus5_profile();
   util::Xoshiro256 rng(15);
   std::vector<double> row(2 * static_cast<std::size_t>(profile.columns));
@@ -244,6 +243,10 @@ void BM_FillNormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * profile.rows *
                           static_cast<long long>(row.size()));
   state.SetLabel(mode == 0 ? "normal()" : mode == 1 ? "fill_normal" : "fill_normal+simd");
+}
+
+void BM_FillNormal(benchmark::State& state) {
+  fill_normal_frame(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_FillNormal)->Arg(0)->Arg(1)->Arg(2);
 
@@ -352,9 +355,9 @@ BENCHMARK(BM_SimdDeltaE);
 
 // --compare mode (or COLORBARS_BENCH_COMPARE=1): pin each supported
 // simd backend in turn and rerun the dispatched kernels, the frame
-// reduce and the frame render in this same process, so scalar-vs-vector
-// numbers land side by side in one BENCH_micro.json under names like
-// "BM_FrameReduceToScanlines/avx2" (and
+// reduce, the frame render and its noise draws in this same process, so
+// scalar-vs-vector numbers land side by side in one BENCH_micro.json
+// under names like "BM_FrameReduceToScanlines/avx2" (and
 // "BM_FrameReduceToScanlines/one_thread/avx2").
 template <typename Body>
 benchmark::internal::Benchmark* register_compare(const char* name, simd::Backend backend,
@@ -395,6 +398,10 @@ void register_compare_benchmarks() {
     });
 
     register_compare("BM_CameraCaptureFrame", backend, BM_CameraCaptureFrame);
+
+    // One frame's noise draws with the dispatched polar finish.
+    register_compare("BM_FillNormal", backend,
+                     [](benchmark::State& state) { fill_normal_frame(state, 2); });
 
     register_compare("BM_RowLabRgbSums", backend, [](benchmark::State& state) {
       util::Xoshiro256 rng(1);

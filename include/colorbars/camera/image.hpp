@@ -136,4 +136,16 @@ struct Frame {
   }
 };
 
+/// Rejects a frame whose pixel buffer does not hold exactly rows x
+/// columns pixels, or whose shape is negative: the receiver's row
+/// kernels read `columns` pixels per row straight from the buffer. A
+/// 0-row or 0-column frame with no pixels passes (it reduces to nothing).
+inline void check_frame_shape(const Frame& frame) {
+  if (frame.rows < 0 || frame.columns < 0 ||
+      frame.pixels.size() !=
+          static_cast<std::size_t>(frame.rows) * static_cast<std::size_t>(frame.columns)) {
+    throw std::invalid_argument("Frame: pixel buffer does not match rows x columns");
+  }
+}
+
 }  // namespace colorbars::camera

@@ -7,6 +7,7 @@
 
 #include "colorbars/util/arena.hpp"     // per-frame bump allocator
 #include "colorbars/util/bitio.hpp"     // bit-level serialization
+#include "colorbars/util/fma_log.hpp"   // libm-free log of the noise draw
 #include "colorbars/util/rng.hpp"       // deterministic randomness
 #include "colorbars/util/vec3.hpp"      // small linear algebra
 

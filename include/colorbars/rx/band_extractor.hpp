@@ -54,7 +54,9 @@ struct ExtractorConfig {
   int min_band_rows = 5;
 };
 
-/// Column-averages every scanline into Lab components.
+/// Column-averages every scanline into Lab components. Every overload
+/// throws std::invalid_argument on a frame whose pixel buffer does not
+/// hold rows x columns pixels (camera::check_frame_shape).
 [[nodiscard]] std::vector<ScanlineColor> reduce_to_scanlines(const camera::Frame& frame);
 
 /// ROI-scoped variant: averages only columns
@@ -87,7 +89,12 @@ struct ExtractorConfig {
 [[nodiscard]] std::vector<SlotObservation> bands_to_slots(const std::vector<Band>& bands,
                                                           double symbol_rate_hz);
 
-/// Convenience: full front-end for one frame.
+/// Convenience: full front-end for one frame. Every overload reduces
+/// first (so a malformed frame throws as above), then returns no slots
+/// when the frame's timing cannot be slot-mapped: a non-finite start or
+/// exposure time, a negative exposure, a row time that is not finite
+/// and positive, a non-positive symbol rate, or a scanline longer than
+/// one symbol (row_time_s * symbol_rate_hz > 1).
 [[nodiscard]] std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
                                                          double symbol_rate_hz,
                                                          const ExtractorConfig& config = {});

@@ -104,13 +104,34 @@ struct ReceiverReport {
   long long decision_margin_count = 0;
 };
 
+/// The longest run of unobserved slots a receiver bridges: 2^16 slots,
+/// 16 s at 4 kHz. Both receivers take observations in arrival order
+/// and drop one that lies more than this many slots outside the slots
+/// kept before it, so a frame with a far-off start time (a hostile or
+/// corrupt timestamp) cannot make them allocate a cell for every slot
+/// in between: a frame 10^5 s after the first at 4 kHz would ask for
+/// 4 x 10^8 cells, 26 GB. A capture with a longer hole decodes up to
+/// the hole.
+inline constexpr long long kMaxSlotGap = 1LL << 16;
+
+/// True when `slot` lies more than kMaxSlotGap slots outside
+/// [first, last]. Exact for every long long, with no overflow.
+[[nodiscard]] constexpr bool beyond_slot_gap(long long slot, long long first,
+                                             long long last) noexcept {
+  using U = unsigned long long;
+  if (slot > last) return U(slot) - U(last) > U(kMaxSlotGap);
+  if (slot < first) return U(first) - U(slot) > U(kMaxSlotGap);
+  return false;
+}
+
 /// Assembles a dense slot timeline from observations in arrival order:
-/// base_slot is the earliest slot seen, span covers earliest→latest, and
+/// base_slot is the earliest slot kept, span covers earliest→latest, and
 /// the first observation of a slot wins (duplicate coverage only happens
 /// at frame boundaries, where the earlier frame saw the fuller band).
-/// This is the batch Receiver::collect back end, exposed so streaming
-/// consumers that gather observations frame by frame build the exact
-/// same timeline.
+/// An observation beyond kMaxSlotGap of the ones kept before it is
+/// dropped. This is the batch Receiver::collect back end, exposed so
+/// streaming consumers that gather observations frame by frame build
+/// the exact same timeline.
 [[nodiscard]] SlotTimeline assemble_timeline(std::span<const SlotObservation> observations);
 
 class Receiver {

@@ -60,7 +60,8 @@ class RoiTracker {
   /// Pure detection pass over one frame (exposed for tests): the
   /// rectangles of every chroma-variance blob, left to right. An empty
   /// frame yields no detections. Throws std::invalid_argument on a
-  /// config the constructor would refuse.
+  /// config the constructor would refuse, or on a frame whose pixel
+  /// buffer does not match its shape (camera::check_frame_shape).
   [[nodiscard]] static std::vector<camera::SensorRegion> detect(
       const camera::Frame& frame, const RoiTrackerConfig& config);
 

@@ -9,20 +9,22 @@
 //
 // The contract is byte-identity: every backend performs, per output
 // element, exactly the scalar reference's IEEE-754 operation sequence
-// (same operand order, no FMA contraction, division kept as division),
-// so the dispatched result is bit-equal to the scalar one on every
-// input. That keeps the frozen golden capture hashes and the
-// 1/2/8-thread determinism guarantees untouched no matter which backend
-// runs. simd_test proves it per kernel (exhaustive for the Lab chain,
-// randomized plus every misalignment offset for the rest), and
-// channel_test re-verifies the golden hashes per backend.
+// (same operand order, a fused multiply-add only where the reference
+// calls std::fma, division kept as division), so the dispatched result
+// is bit-equal to the scalar one on every input. That keeps the frozen
+// golden capture hashes and the 1/2/8-thread determinism guarantees
+// untouched no matter which backend runs. simd_test proves it per
+// kernel (exhaustive for the Lab chain, randomized plus every
+// misalignment offset for the rest), and channel_test re-verifies the
+// golden hashes per backend.
 //
 // Dispatch: the scalar backend always exists; SSE4.2/AVX2 are compiled
 // when the build targets x86-64 with COLORBARS_SIMD=ON and selected at
-// runtime via CPUID, NEON when targeting AArch64. The environment
-// variable COLORBARS_SIMD_BACKEND (scalar|sse42|avx2|neon) pins the
-// initial choice, set_backend() overrides programmatically (used by the
-// byte-identity tests and bench_micro --compare).
+// runtime via CPUID (AVX2 needs the avx2 and fma bits), NEON when
+// targeting AArch64. The environment variable COLORBARS_SIMD_BACKEND
+// (scalar|sse42|avx2|neon) pins the initial choice, set_backend()
+// overrides programmatically (used by the byte-identity tests and
+// bench_micro --compare).
 //
 // Alignment contract: no kernel requires aligned pointers — interior
 // lanes use unaligned vector loads and every kernel falls back to a
@@ -110,9 +112,10 @@ void delta_e_ab_many(const double* ref_a, const double* ref_b, int count,
 
 /// util::Xoshiro256::polar_finish, bit for bit: `count` accepted polar
 /// pairs (u, v), interleaved at `pairs`, become (u·f, v·f) with
-/// f = sqrt(-2·log(s) / s), s = u·u + v·v. libm's log stays one scalar
-/// call per pair, in pair order; the rest runs in lanes. Pass it to
-/// fill_normal as the finish.
+/// f = sqrt(-2·log(s) / s), s = u·u + v·v and log = util::polar_log. The
+/// AVX2 backend, which needs FMA and so pairs with util::fma_log, evaluates
+/// that log's steps in lanes; the others run the scalar reference. Pass it
+/// to fill_normal as the finish.
 void polar_finish(double* pairs, std::size_t count);
 
 }  // namespace colorbars::simd

@@ -68,13 +68,16 @@ class Xoshiro256 {
   [[nodiscard]] std::uint64_t below(std::uint64_t n) noexcept;
 
   /// Standard normal deviate (Marsaglia polar method, deterministic).
+  /// Its log is util::polar_log: on a host with FMA that is
+  /// util::fma_log, which calls no libm function, so the deviates are
+  /// the same bits on every such host whatever its libm.
   [[nodiscard]] double normal() noexcept;
 
   /// The finish of the batched polar method: overwrites `count`
   /// accepted candidates (u, v), stored as interleaved pairs at `pairs`,
-  /// with (u·f, v·f), where f = sqrt(-2·log(s) / s) and s = u·u + v·v —
-  /// normal()'s own expressions. A replacement (simd::polar_finish) must
-  /// produce the same bits.
+  /// with (u·f, v·f), where f = sqrt(-2·log(s) / s), s = u·u + v·v and
+  /// log is util::polar_log — normal()'s own expressions. A replacement
+  /// (simd::polar_finish) must produce the same bits.
   using PolarFinish = void (*)(double* pairs, std::size_t count);
 
   /// The reference PolarFinish, pair by pair.

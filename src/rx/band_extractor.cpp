@@ -42,6 +42,7 @@ void reduce_rows_into(const camera::Frame& frame, int begin, int end,
 
 std::vector<ScanlineColor> reduce_to_scanlines(const camera::Frame& frame,
                                                int column_begin, int column_end) {
+  camera::check_frame_shape(frame);
   const int begin = std::max(column_begin, 0);
   const int end = std::min(column_end, frame.columns);
   std::vector<ScanlineColor> scanlines;
@@ -57,6 +58,7 @@ std::vector<ScanlineColor> reduce_to_scanlines(const camera::Frame& frame,
 std::span<const ScanlineColor> reduce_to_scanlines(const camera::Frame& frame,
                                                    int column_begin, int column_end,
                                                    util::CaptureArena& arena) {
+  camera::check_frame_shape(frame);
   arena.reset();
   const int begin = std::max(column_begin, 0);
   const int end = std::min(column_end, frame.columns);
@@ -164,6 +166,22 @@ std::vector<SlotObservation> bands_to_slots(const std::vector<Band>& bands,
   return slots;
 }
 
+namespace {
+
+/// True when the frame's row clock can be mapped onto slots of
+/// `symbol_rate_hz`: finite times, a non-negative exposure, a positive
+/// row time, and no scanline longer than a symbol. Past that last bound
+/// each band would claim more slots than the frame has rows, up to
+/// billions for a hostile row time.
+bool slot_timing_valid(const camera::Frame& frame, double symbol_rate_hz) {
+  return std::isfinite(frame.start_time_s) && std::isfinite(frame.exposure_s) &&
+         frame.exposure_s >= 0.0 && std::isfinite(frame.row_time_s) &&
+         frame.row_time_s > 0.0 && symbol_rate_hz > 0.0 &&
+         frame.row_time_s * symbol_rate_hz <= 1.0;
+}
+
+}  // namespace
+
 std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
                                            double symbol_rate_hz,
                                            const ExtractorConfig& config) {
@@ -175,6 +193,7 @@ std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
                                            int column_end, const ExtractorConfig& config) {
   const std::vector<ScanlineColor> scanlines =
       reduce_to_scanlines(frame, column_begin, column_end);
+  if (!slot_timing_valid(frame, symbol_rate_hz)) return {};
   const std::vector<Band> bands = segment_bands(frame, scanlines, config);
   return bands_to_slots(bands, symbol_rate_hz);
 }
@@ -185,6 +204,7 @@ std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
                                            const ExtractorConfig& config) {
   const std::span<const ScanlineColor> scanlines =
       reduce_to_scanlines(frame, column_begin, column_end, arena);
+  if (!slot_timing_valid(frame, symbol_rate_hz)) return {};
   const std::vector<Band> bands = segment_bands(frame, scanlines, config);
   return bands_to_slots(bands, symbol_rate_hz);
 }

@@ -53,16 +53,38 @@ std::size_t Receiver::max_decision_span_slots() const noexcept {
   return std::max({data_span, calibration_span, scan_lookahead_slots()}) + 2;
 }
 
+namespace {
+
+/// The arrival-order gap rule of assemble_timeline: the span of the
+/// observations kept so far, and whether the next one is kept.
+struct KeptSpan {
+  long long first;
+  long long last;
+
+  bool keep(long long slot) noexcept {
+    if (beyond_slot_gap(slot, first, last)) return false;
+    first = std::min(first, slot);
+    last = std::max(last, slot);
+    return true;
+  }
+};
+
+}  // namespace
+
 SlotTimeline assemble_timeline(std::span<const SlotObservation> observations) {
   SlotTimeline timeline;
   if (observations.empty()) return timeline;
 
-  auto [min_it, max_it] = std::minmax_element(
-      observations.begin(), observations.end(),
-      [](const SlotObservation& a, const SlotObservation& b) { return a.slot < b.slot; });
-  timeline.base_slot = min_it->slot;
-  timeline.slots.resize(static_cast<std::size_t>(max_it->slot - min_it->slot) + 1);
+  // Two passes replay the same rule: the first sizes the timeline, the
+  // second fills it with exactly the observations the first kept.
+  const long long origin = observations.front().slot;
+  KeptSpan span{origin, origin};
+  for (const SlotObservation& observation : observations) (void)span.keep(observation.slot);
+  timeline.base_slot = span.first;
+  timeline.slots.resize(static_cast<std::size_t>(span.last - span.first) + 1);
+  KeptSpan replay{origin, origin};
   for (const SlotObservation& observation : observations) {
+    if (!replay.keep(observation.slot)) continue;
     auto& cell = timeline.slots[static_cast<std::size_t>(observation.slot -
                                                          timeline.base_slot)];
     // First writer wins: duplicate coverage can only happen at frame

@@ -65,6 +65,7 @@ RoiTracker::RoiTracker(RoiTrackerConfig config) : config_(config) { validate(con
 std::vector<camera::SensorRegion> RoiTracker::detect(const camera::Frame& frame,
                                                      const RoiTrackerConfig& config) {
   validate(config);
+  camera::check_frame_shape(frame);
   std::vector<camera::SensorRegion> regions;
   if (frame.rows <= 0 || frame.columns <= 0) return regions;
 

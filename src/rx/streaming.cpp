@@ -49,12 +49,16 @@ void StreamingReceiver::ingest_slots(std::span<const SlotObservation> slots) {
     if (!window_valid_) {
       window_.base_slot = slot.slot;
       first_slot_ = slot.slot;
+      latest_slot_ = slot.slot;
       window_valid_ = true;
     }
     // Behind the eviction boundary (or behind the first frame's earliest
     // band): already parsed, drop. Happens only at frame-boundary
     // overlap, where the earlier frame saw the fuller band anyway.
     if (slot.slot < window_.base_slot) continue;
+    // Too far ahead to bridge (kMaxSlotGap): drop, as assemble_timeline
+    // does, rather than grow the window across the hole.
+    if (beyond_slot_gap(slot.slot, window_.base_slot, latest_slot_)) continue;
     const auto index = static_cast<std::size_t>(slot.slot - window_.base_slot);
     if (index >= window_.slots.size()) window_.slots.resize(index + 1);
     auto& cell = window_.slots[index];

@@ -1,19 +1,27 @@
-// AVX2 backend: 4 double lanes per step. Compiled with -mavx2 but
-// WITHOUT -mfma — byte-identity with the scalar reference depends on
-// a*b+c staying a rounded multiply followed by a rounded add, and the
-// compiler cannot contract what the ISA it was given cannot encode.
-// Every kernel mirrors the scalar reference's per-element operation
-// order exactly. In the pointwise maps a lane is a pixel, and they fall
-// back to the scalar segment helpers for the sub-width head/tail of any
-// range, so odd widths and unaligned column starts are handled without
-// masked or aligned loads. In the Lab row reduction a lane is one
-// component of one pixel, so it has no tail at all. The demosaic→code
-// row computes its means and the quantizer's clamp and bucket index in
-// lanes, then reads the quantizer tables per channel; the polar finish
-// puts four pairs in lanes around four scalar libm log calls.
+// AVX2 backend: 4 double lanes per step. Compiled with -mavx2 -mfma
+// under the root build's -ffp-contract=off: byte-identity with the
+// scalar reference depends on every a*b+c staying a rounded multiply
+// followed by a rounded add, so the only fused steps are the explicit
+// _mm256_fmadd_pd / _mm256_fnmadd_pd of the log, which replicate
+// util::fma_log's std::fma calls. Every kernel mirrors the scalar
+// reference's per-element operation order exactly. In the pointwise
+// maps a lane is a pixel, and they fall back to the scalar segment
+// helpers for the sub-width head/tail of any range, so odd widths and
+// unaligned column starts are handled without masked or aligned loads.
+// In the Lab row reduction a lane is one component of one pixel, so it
+// has no tail at all. The demosaic→code row computes its means and the
+// quantizer's clamp and bucket index in lanes, then reads the quantizer
+// tables per channel; the polar finish runs four pairs in lanes,
+// util::fma_log included, and calls no libm function. (The backend
+// needs FMA, and there util::polar_log, the scalar reference's log, is
+// util::fma_log.)
 
 #include <immintrin.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "colorbars/util/fma_log.hpp"
 #include "colorbars/util/rng.hpp"
 #include "kernels.hpp"
 
@@ -232,10 +240,89 @@ void delta_e_ab_avx2(const double* ref_a, const double* ref_b, int count, double
   delta_e_ab_segment(ref_a + i, ref_b + i, count - i, a, b, out + i);
 }
 
+// util::fma_log's near-1 path in lanes, step for step.
+__m256d fma_log_near_one_avx2(__m256d x) {
+  const double* b = util::kFmaLogData.poly1;
+  const auto coefficient = [b](int i) { return _mm256_set1_pd(b[i]); };
+  const __m256d split = _mm256_set1_pd(0x1p27);
+  const __m256d r = _mm256_sub_pd(x, _mm256_set1_pd(1.0));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r3 = _mm256_mul_pd(r, r2);
+  __m256d p = _mm256_fmadd_pd(
+      r3, coefficient(10),
+      _mm256_fmadd_pd(r2, coefficient(9), _mm256_fmadd_pd(r, coefficient(8), coefficient(7))));
+  p = _mm256_fmadd_pd(
+      p, r3,
+      _mm256_fmadd_pd(r2, coefficient(6), _mm256_fmadd_pd(r, coefficient(5), coefficient(4))));
+  p = _mm256_fmadd_pd(
+      p, r3,
+      _mm256_fmadd_pd(r2, coefficient(3), _mm256_fmadd_pd(r, coefficient(2), coefficient(1))));
+  const __m256d rw = _mm256_fmadd_pd(r, split, r);
+  const __m256d rhi = _mm256_fnmadd_pd(r, split, rw);  // fma(-r, 2^27, rw)
+  const __m256d rlo = _mm256_sub_pd(r, rhi);
+  const __m256d rhi2 = _mm256_mul_pd(rhi, rhi);
+  const __m256d hi = _mm256_fmadd_pd(rhi2, coefficient(0), r);
+  __m256d lo = _mm256_fmadd_pd(rhi2, coefficient(0), _mm256_sub_pd(r, hi));
+  lo = _mm256_fmadd_pd(_mm256_mul_pd(coefficient(0), rlo), _mm256_add_pd(r, rhi), lo);
+  return _mm256_add_pd(hi, _mm256_fmadd_pd(p, r3, lo));
+}
+
+// util::fma_log in four lanes, step for step, on its domain (positive,
+// normal, finite x). AVX2 has no 64-bit arithmetic shift and no int64
+// -> double conversion, but k = (int64)tmp >> 52 fits the high 32-bit
+// half of tmp: shift the halves by 20 and convert the odd ones. Each
+// lane's {1/c, log c} is one 16-byte load; two gathers made the finish
+// 1.6-2x slower (EXPERIMENTS.md). At x == 1 the near-1 polynomial
+// itself returns +0, the value fma_log's early return gives.
+__m256d fma_log_avx2(__m256d x) {
+  const util::FmaLogData& data = util::kFmaLogData;
+  const __m256i ix = _mm256_castpd_si256(x);
+  const __m256i tmp = _mm256_sub_epi64(
+      ix, _mm256_set1_epi64x(static_cast<long long>(util::kFmaLogOff)));
+  alignas(32) std::uint64_t index[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(index),
+                     _mm256_and_si256(_mm256_srli_epi64(tmp, 52 - util::FmaLogData::kTableBits),
+                                      _mm256_set1_epi64x((1 << util::FmaLogData::kTableBits) - 1)));
+  const __m128i k = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      _mm256_srai_epi32(tmp, 20), _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7)));
+  const __m256d kd = _mm256_cvtepi32_pd(k);
+  const __m256d z = _mm256_castsi256_pd(_mm256_sub_epi64(
+      ix, _mm256_and_si256(tmp, _mm256_set1_epi64x(static_cast<long long>(0xfff0000000000000)))));
+  const auto entry = [&](int lane) { return _mm_load_pd(&data.table[index[lane]].invc); };
+  const __m256d entries02 = _mm256_set_m128d(entry(2), entry(0));  // invc0 logc0 invc2 logc2
+  const __m256d entries13 = _mm256_set_m128d(entry(3), entry(1));  // invc1 logc1 invc3 logc3
+  const __m256d invc = _mm256_unpacklo_pd(entries02, entries13);
+  const __m256d logc = _mm256_unpackhi_pd(entries02, entries13);
+
+  const double* a = data.poly;
+  const auto coefficient = [a](int i) { return _mm256_set1_pd(a[i]); };
+  const __m256d w = _mm256_fmadd_pd(kd, _mm256_set1_pd(data.ln2hi), logc);
+  const __m256d r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
+  const __m256d hi = _mm256_add_pd(r, w);
+  const __m256d lo = _mm256_fmadd_pd(kd, _mm256_set1_pd(data.ln2lo),
+                                     _mm256_add_pd(_mm256_sub_pd(w, hi), r));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d p = _mm256_fmadd_pd(_mm256_fmadd_pd(r, coefficient(4), coefficient(3)), r2,
+                                    _mm256_fmadd_pd(r, coefficient(2), coefficient(1)));
+  const __m256d y = _mm256_add_pd(
+      _mm256_fmadd_pd(_mm256_mul_pd(r, r2), p, _mm256_fmadd_pd(r2, coefficient(0), lo)), hi);
+
+  // fma_log's unsigned test ix - lo < hi - lo holds exactly when
+  // lo <= x < hi as doubles: both are false for negative x and NaN, and
+  // non-negative doubles order like their bits.
+  const __m256d near_mask = _mm256_and_pd(
+      _mm256_cmp_pd(x, _mm256_set1_pd(std::bit_cast<double>(util::kFmaLogNearOneLo)),
+                    _CMP_GE_OQ),
+      _mm256_cmp_pd(x, _mm256_set1_pd(std::bit_cast<double>(util::kFmaLogNearOneHi)),
+                    _CMP_LT_OQ));
+  if (_mm256_movemask_pd(near_mask) == 0) return y;
+  return _mm256_blendv_pd(y, fma_log_near_one_avx2(x), near_mask);
+}
+
 void polar_finish_avx2(double* pairs, std::size_t count) {
-  // Four pairs per step. libm's log stays a scalar call, one pair at a
-  // time in pair order; the quotient, the square root and the two
-  // products run in lanes with normal()'s operation order.
+  // Four pairs per step, with normal()'s operation order: s, log(s),
+  // the quotient, the square root and the two products all run in
+  // lanes. The tail takes the scalar reference.
   const __m256d minus_two = _mm256_set1_pd(-2.0);
   std::size_t k = 0;
   for (; k + 4 <= count; k += 4) {
@@ -245,15 +332,8 @@ void polar_finish_avx2(double* pairs, std::size_t count) {
     const __m256d u = _mm256_unpacklo_pd(lo, hi);  // u0 u2 u1 u3
     const __m256d v = _mm256_unpackhi_pd(lo, hi);  // v0 v2 v1 v3
     const __m256d s = _mm256_add_pd(_mm256_mul_pd(u, u), _mm256_mul_pd(v, v));
-    alignas(32) double s_lanes[4];
-    _mm256_store_pd(s_lanes, s);
-    const double log0 = std::log(s_lanes[0]);
-    const double log1 = std::log(s_lanes[2]);
-    const double log2 = std::log(s_lanes[1]);
-    const double log3 = std::log(s_lanes[3]);
-    const __m256d log_s = _mm256_set_pd(log3, log1, log2, log0);  // s's lane order
     const __m256d factor =
-        _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(minus_two, log_s), s));
+        _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(minus_two, fma_log_avx2(s)), s));
     const __m256d u_out = _mm256_mul_pd(u, factor);
     const __m256d v_out = _mm256_mul_pd(v, factor);
     _mm256_storeu_pd(p, _mm256_unpacklo_pd(u_out, v_out));      // u0 v0 u1 v1

@@ -114,7 +114,7 @@ bool backend_supported(Backend backend) noexcept {
     case Backend::kSse42:
       return __builtin_cpu_supports("sse4.2") != 0;
     case Backend::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
 #endif
 #if defined(COLORBARS_SIMD_NEON)
     case Backend::kNeon:

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "colorbars/util/fma_log.hpp"
+
 namespace colorbars::util {
 
 std::uint64_t Xoshiro256::below(std::uint64_t n) noexcept {
@@ -33,7 +35,7 @@ double Xoshiro256::normal() noexcept {
     v = uniform(-1.0, 1.0);
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
+  const double factor = std::sqrt(-2.0 * polar_log(s) / s);
   cached_normal_ = v * factor;
   has_cached_normal_ = true;
   return u * factor;
@@ -46,7 +48,7 @@ void Xoshiro256::polar_finish(double* pairs, std::size_t count) noexcept {
     const double u = pairs[2 * k];
     const double v = pairs[2 * k + 1];
     const double s = u * u + v * v;
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
+    const double factor = std::sqrt(-2.0 * polar_log(s) / s);
     pairs[2 * k] = u * factor;
     pairs[2 * k + 1] = v * factor;
   }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include "colorbars/rx/streaming.hpp"
 #include "colorbars/simd/simd.hpp"
 #include "colorbars/util/arena.hpp"
+#include "colorbars/util/fma_log.hpp"
 #include "colorbars/util/rng.hpp"
 
 namespace colorbars {
@@ -226,6 +228,26 @@ TEST(Simd, DemosaicCodeRowMatchesScalarAtEveryOffset) {
   }
 }
 
+/// A pair (u, v) whose polar s = u·u + v·v rounds to exactly `target`:
+/// u steps through the doubles around sqrt(target - v·v) for v = 0 and a
+/// few v whose square is a small multiple of an ulp of `target`.
+std::pair<double, double> pair_with_s(double target) {
+  const int exponent = std::ilogb(target) - 52;
+  std::vector<double> vs = {0.0};
+  for (int q = (exponent - 2) / 2 - 1; q <= (exponent + 4) / 2; ++q) {
+    for (const double mantissa : {1.0, 1.25, 1.5, 1.75}) vs.push_back(std::ldexp(mantissa, q));
+  }
+  for (const double v : vs) {
+    double u = std::sqrt(target - v * v);
+    for (int step = 0; step < 4; ++step) u = std::nextafter(u, 0.0);
+    for (int step = 0; step < 9; ++step, u = std::nextafter(u, 2.0)) {
+      if (u * u + v * v == target) return {u, v};
+    }
+  }
+  ADD_FAILURE() << "no pair found for s = " << std::hexfloat << target;
+  return {0.5, 0.5};
+}
+
 TEST(Simd, PolarFinishMatchesReferenceAtEveryCount) {
   // The vector polar finish against Xoshiro256::polar_finish, bit for
   // bit, on accepted pairs from a real accept loop (0 < s < 1) and on
@@ -257,6 +279,71 @@ TEST(Simd, PolarFinishMatchesReferenceAtEveryCount) {
         ASSERT_EQ(std::memcmp(out.data(), reference.data(), out.size() * sizeof(double)), 0)
             << simd::backend_name(backend) << " offset=" << offset << " count=" << count;
       }
+    }
+  }
+
+  // The branches of util::fma_log, which the AVX2 lanes replicate: s on
+  // the near-1 path at each pair position of a four-pair step (and at
+  // all four), on both bounds of that path ±1 ulp, on every edge ±1 ulp
+  // of the 128 table subintervals in a few binades, the smallest s the
+  // accept loop can produce (2^-104) and the largest (just below 1).
+  // Then 2^16 accepted pairs on each path: unfusing the near-1 path's
+  // last fma in the lanes changes about 1.3 results in 10^4 near-1
+  // inputs, which the handful of pairs above would miss.
+  std::vector<double> targets;
+  const auto add_bits = [&](std::uint64_t bits) {
+    for (const std::uint64_t b : {bits - 1, bits, bits + 1}) {
+      const double s = std::bit_cast<double>(b);
+      if (s >= 0x1p-104 && s < 1.0) targets.push_back(s);
+    }
+  };
+  for (int position = 0; position <= 4; ++position) {
+    for (int pair = 0; pair < 4; ++pair) {
+      const bool near_one = position == 4 || pair == position;
+      targets.push_back(near_one ? 0.96 + 0.01 * pair : 0.3 + 0.1 * pair);
+    }
+  }
+  add_bits(util::kFmaLogNearOneLo);
+  add_bits(util::kFmaLogNearOneHi);
+  // Subinterval edges of s = 2^k z, z in [0x1.6p-1, 0x1.6p+0).
+  for (const int k : {-103, -52, -19, -1, 0}) {
+    for (std::uint64_t edge = 0; edge < (1u << util::FmaLogData::kTableBits); ++edge) {
+      add_bits(util::kFmaLogOff + (static_cast<std::uint64_t>(k) << 52) +
+               (edge << (52 - util::FmaLogData::kTableBits)));
+    }
+  }
+  targets.push_back(0x1p-104);
+  targets.push_back(std::nextafter(1.0, 0.0));
+  std::vector<double> branch_pairs;
+  for (const double target : targets) {
+    const auto [u, v] = pair_with_s(target);
+    branch_pairs.insert(branch_pairs.end(), {u, v});
+  }
+  constexpr std::size_t kPerPath = 1 << 16;
+  std::size_t near_one_count = 0;
+  std::size_t table_count = 0;
+  while (near_one_count < kPerPath || table_count < kPerPath) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double s = u * u + v * v;
+    if (!(s < 1.0 && s != 0.0)) continue;
+    const bool near_one = std::bit_cast<std::uint64_t>(s) - util::kFmaLogNearOneLo <
+                          util::kFmaLogNearOneHi - util::kFmaLogNearOneLo;
+    std::size_t& filled = near_one ? near_one_count : table_count;
+    if (filled == kPerPath) continue;
+    ++filled;
+    branch_pairs.insert(branch_pairs.end(), {u, v});
+  }
+  const std::size_t branch_count = branch_pairs.size() / 2;
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    std::vector<double> reference = branch_pairs;
+    util::Xoshiro256::polar_finish(reference.data() + 2 * offset, branch_count - offset);
+    for (const simd::Backend backend : backends) {
+      ASSERT_TRUE(simd::set_backend(backend));
+      std::vector<double> out = branch_pairs;
+      simd::polar_finish(out.data() + 2 * offset, branch_count - offset);
+      ASSERT_EQ(std::memcmp(out.data(), reference.data(), out.size() * sizeof(double)), 0)
+          << simd::backend_name(backend) << " branch pairs at offset=" << offset;
     }
   }
 }
