@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -220,29 +221,40 @@ void BM_CameraCaptureFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_CameraCaptureFrame);
 
-// The render's noise draws for one Nexus 5 frame (2 normals per pixel),
-// row by row: mode 0 the call-by-call normal() loop, mode 1 one
-// fill_normal per row with the reference polar finish, mode 2 the same
-// with the dispatched simd::polar_finish the render passes. All three
-// produce the same bytes.
+// The render's noise draws for one Nexus 5 frame (2 normals per pixel):
+// mode 0 the call-by-call normal() loop and mode 1 one fill_normal per
+// row with the reference accept loop and finish, the two references;
+// mode 2 what the render draws, one auto-exposure normal() and then one
+// fill_normal per camera::kNoiseBatchRows rows with the dispatched
+// simd::polar_accept and simd::polar_finish. Each draws the bytes the
+// normal() calls would.
 void fill_normal_frame(benchmark::State& state, int mode) {
   const camera::SensorProfile profile = camera::nexus5_profile();
   util::Xoshiro256 rng(15);
-  std::vector<double> row(2 * static_cast<std::size_t>(profile.columns));
+  const int batch_rows = mode == 2 ? camera::kNoiseBatchRows : 1;
+  const auto row_normals = 2 * static_cast<std::size_t>(profile.columns);
+  std::vector<double> batch(row_normals * static_cast<std::size_t>(batch_rows));
   for (auto _ : state) {
-    for (int r = 0; r < profile.rows; ++r) {
+    if (mode == 2) benchmark::DoNotOptimize(rng.normal());
+    for (int first = 0; first < profile.rows; first += batch_rows) {
+      const auto rows = static_cast<std::size_t>(std::min(batch_rows, profile.rows - first));
+      const std::span<double> out = std::span(batch).first(row_normals * rows);
       if (mode == 0) {
-        for (double& value : row) value = rng.normal();
+        for (double& value : out) value = rng.normal();
+      } else if (mode == 1) {
+        rng.fill_normal(out);
       } else {
-        rng.fill_normal(row, mode == 1 ? util::Xoshiro256::polar_finish : simd::polar_finish);
+        rng.fill_normal(out, simd::polar_finish, simd::polar_accept);
       }
-      benchmark::DoNotOptimize(row.data());
+      benchmark::DoNotOptimize(batch.data());
       benchmark::ClobberMemory();
     }
   }
   state.SetItemsProcessed(state.iterations() * profile.rows *
-                          static_cast<long long>(row.size()));
-  state.SetLabel(mode == 0 ? "normal()" : mode == 1 ? "fill_normal" : "fill_normal+simd");
+                          static_cast<long long>(row_normals));
+  state.SetLabel(mode == 0   ? "normal()"
+                 : mode == 1 ? "fill_normal"
+                             : "fill_normal+simd, render batch");
 }
 
 void BM_FillNormal(benchmark::State& state) {
@@ -399,7 +411,7 @@ void register_compare_benchmarks() {
 
     register_compare("BM_CameraCaptureFrame", backend, BM_CameraCaptureFrame);
 
-    // One frame's noise draws with the dispatched polar finish.
+    // One frame's noise draws as the render draws them.
     register_compare("BM_FillNormal", backend,
                      [](benchmark::State& state) { fill_normal_frame(state, 2); });
 

@@ -27,6 +27,13 @@ struct FskConfig {
   /// Scanline-lightness threshold separating ON from OFF stripes.
   double on_lightness = 35.0;
 
+  /// Throws std::invalid_argument unless the alphabet is non-empty,
+  /// every frequency finite and positive, and dwell_s finite and
+  /// positive: a negative half-period never shortens the dwell left, so
+  /// fsk_modulate's square-wave loop would not end, and NaN would append
+  /// NaN-length segments. fsk_modulate and fsk_run call it.
+  void validate() const;
+
   [[nodiscard]] int bits_per_symbol() const noexcept {
     int bits = 0;
     while ((1 << (bits + 1)) <= static_cast<int>(frequencies.size())) ++bits;
@@ -35,14 +42,16 @@ struct FskConfig {
 };
 
 /// Renders a symbol sequence (indices into the frequency alphabet) as an
-/// emission trace of white/dark square waves.
+/// emission trace of white/dark square waves. Throws
+/// std::invalid_argument for a config FskConfig::validate rejects.
 [[nodiscard]] led::EmissionTrace fsk_modulate(const std::vector<int>& symbols,
                                               const FskConfig& config);
 
 /// Per-frame FSK demodulation: estimates the dominant stripe frequency
 /// from ON/OFF transition counts and maps it to the nearest alphabet
 /// entry. Returns one symbol per frame (the dwell alignment of the
-/// paper's baselines), or -1 for undecodable frames.
+/// paper's baselines), or -1 for undecodable frames and frames without
+/// pixels.
 [[nodiscard]] std::vector<int> fsk_demodulate(const std::vector<camera::Frame>& frames,
                                               const FskConfig& config);
 
@@ -68,7 +77,8 @@ struct FskRunResult {
 };
 
 /// End-to-end FSK run through the given optical channel (the default
-/// spec is the identity close-range channel).
+/// spec is the identity close-range channel). Throws
+/// std::invalid_argument for a config FskConfig::validate rejects.
 [[nodiscard]] FskRunResult fsk_run(const FskConfig& config,
                                    const camera::SensorProfile& profile,
                                    const channel::ChannelSpec& channel_spec, int symbol_count,

@@ -34,7 +34,9 @@ struct OokDecodeResult {
 };
 
 /// Demodulates captured frames back into slot-aligned bits by
-/// thresholding per-scanline lightness.
+/// thresholding per-scanline lightness. Slot s is bit s; a slot before
+/// bit 0, or more than rx::kMaxSlotGap past the slots kept before it in
+/// arrival order, comes from a corrupt frame time and is dropped.
 [[nodiscard]] OokDecodeResult ook_demodulate(const std::vector<camera::Frame>& frames,
                                              const OokConfig& config);
 

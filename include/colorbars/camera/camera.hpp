@@ -38,6 +38,12 @@ struct ExposureSettings {
   }
 };
 
+/// Rows of noise the render draws per fill_normal call: each call's
+/// cached half-pair, odd tail and set-up are shared by this many rows,
+/// and a batch is long enough for the lane accept loop's blocks
+/// (simd::polar_accept) to run.
+inline constexpr int kNoiseBatchRows = 64;
+
 /// Reusable per-frame render scratch: the intermediate buffers one
 /// frame synthesis needs. No frame-sized plane exists — the render
 /// streams rows from the noise draw to 8-bit codes through a three-row

@@ -2,10 +2,10 @@
 
 // Runtime-dispatched SIMD kernels for the hottest per-pixel loops of
 // the capture/decode path: the render's RGGB demosaic straight to sRGB
-// codes, the polar finish of its noise draw and its separable
-// vignette/gain and shot-sigma row fills, the Rgb8→Lab LUT reduction
-// inside reduce_to_scanlines, and the per-band ΔE nearest-reference
-// scan of the symbol decision.
+// codes, the accept loop and the polar finish of its noise draw and its
+// separable vignette/gain and shot-sigma row fills, the Rgb8→Lab LUT
+// reduction inside reduce_to_scanlines, and the per-band ΔE
+// nearest-reference scan of the symbol decision.
 //
 // The contract is byte-identity: every backend performs, per output
 // element, exactly the scalar reference's IEEE-754 operation sequence
@@ -34,6 +34,7 @@
 // which keeps the common case on the fast path.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "colorbars/color/srgb.hpp"
 
@@ -117,5 +118,27 @@ void delta_e_ab_many(const double* ref_a, const double* ref_b, int count,
 /// that log's steps in lanes; the others run the scalar reference. Pass it
 /// to fill_normal as the finish.
 void polar_finish(double* pairs, std::size_t count);
+
+/// Block lengths of the AVX2 accept loop, in generator outputs per lane,
+/// largest first. A chunk of block length L runs while at least 2L pairs
+/// are still wanted (see polar_accept). 2046 is the largest L that a
+/// render batch of 64 rows by 64 columns fits when its first normal
+/// comes from the cached half-pair, as after the auto-exposure draw:
+/// 4,095 pairs. That chunk leaves about 880, one chunk of 400 about 250,
+/// and one of 100 about 100 for the reference loop.
+inline constexpr std::size_t kPolarAcceptBlocks[] = {2046, 400, 100};
+
+/// util::Xoshiro256::polar_accept, bit for bit: the first `count`
+/// accepted polar candidates of the generator whose state words are at
+/// `state`, as interleaved pairs at `pairs`, and the state just past the
+/// last candidate drawn. The AVX2 backend runs four lanes over four
+/// consecutive blocks of the one stream: lane k starts L·k outputs on by
+/// a jump-ahead (util::Xoshiro256::jump_polynomial), each lane keeps its
+/// own accepted pairs, and the lanes are concatenated in stream order. A
+/// chunk runs only while at least 2L pairs are still wanted, so it can
+/// never accept a pair the reference would not draw; the reference loop
+/// draws what the chunks leave. The others run the reference. Pass it to
+/// fill_normal as the accept loop.
+void polar_accept(std::uint64_t* state, double* pairs, std::size_t count);
 
 }  // namespace colorbars::simd

@@ -62,4 +62,8 @@ inline constexpr std::uint64_t kFmaLogNearOneHi = 0x3ff1090000000000;
 /// keeps its libm's speed and bits.
 [[nodiscard]] double polar_log(double x) noexcept;
 
+/// True when polar_log is fma_log on this host, so the noise draws'
+/// bits do not depend on the host's libm.
+[[nodiscard]] bool polar_log_is_fma_log() noexcept;
+
 }  // namespace colorbars::util

@@ -41,16 +41,54 @@ class Xoshiro256 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
-  constexpr result_type operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+  constexpr result_type operator()() noexcept { return next(state_.data()); }
+
+  /// One xoshiro256** step on the four state words at `state`: returns
+  /// the output and advances the words. operator() is this step on the
+  /// generator's own state; batch kernels step raw copies.
+  static constexpr result_type next(std::uint64_t* state) noexcept {
+    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
+    const std::uint64_t t = state[1] << 17;
+    state[2] ^= state[0];
+    state[3] ^= state[1];
+    state[1] ^= state[2];
+    state[0] ^= state[3];
+    state[2] ^= t;
+    state[3] = rotl(state[3], 45);
     return result;
+  }
+
+  /// A polynomial over GF(2) of degree below 256: bit i % 64 of word
+  /// i / 64 is the coefficient of x^i.
+  using Gf2Poly = std::array<std::uint64_t, 4>;
+
+  /// The state update M of next() is linear over GF(2), and its
+  /// characteristic polynomial P has degree 256; these are P's
+  /// coefficients below x^256. Since P(M) = 0, n steps are
+  /// Mⁿs = c(M)s with c = xⁿ mod P: the XOR of the states s, Ms, ...,
+  /// M²⁵⁵s at the set bits of c, the loop of the reference xoshiro256
+  /// jump(). P came from Berlekamp–Massey over 1,024 successive values
+  /// of one state bit (bit 0 of word 0); x^(2^128) mod P and
+  /// x^(2^192) mod P are that jump()'s published JUMP and LONG_JUMP
+  /// words (checked by Xoshiro256.StatePolynomialGivesThePublishedJumps).
+  static constexpr Gf2Poly kStatePolynomial = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                                               0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+  /// xⁿ mod P, by n multiply-by-x steps: meant for jump lengths fixed
+  /// at compile time.
+  [[nodiscard]] static constexpr Gf2Poly jump_polynomial(std::uint64_t n) noexcept {
+    Gf2Poly c = {1, 0, 0, 0};
+    for (std::uint64_t step = 0; step < n; ++step) {
+      const std::uint64_t overflow = c[3] >> 63;
+      for (std::size_t word = c.size() - 1; word > 0; --word) {
+        c[word] = (c[word] << 1) | (c[word - 1] >> 63);
+      }
+      c[0] <<= 1;
+      for (std::size_t word = 0; word < c.size(); ++word) {
+        c[word] ^= kStatePolynomial[word] & (0 - overflow);
+      }
+    }
+    return c;
   }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
@@ -83,12 +121,26 @@ class Xoshiro256 {
   /// The reference PolarFinish, pair by pair.
   static void polar_finish(double* pairs, std::size_t count) noexcept;
 
+  /// The accept loop of the batched polar method: from the generator
+  /// whose four state words are at `state`, draws candidates
+  /// u = uniform(-1, 1), v = uniform(-1, 1) as normal() does, writes the
+  /// first `count` with 0 < u·u + v·v < 1 to `pairs` as interleaved
+  /// pairs, and leaves the state just past the candidate that completed
+  /// them. A replacement (simd::polar_accept) must write the same pairs
+  /// and leave the same state.
+  using PolarAccept = void (*)(std::uint64_t* state, double* pairs, std::size_t count);
+
+  /// The reference PolarAccept, candidate by candidate, without a
+  /// data-dependent branch.
+  static void polar_accept(std::uint64_t* state, double* pairs, std::size_t count) noexcept;
+
   /// Fills `out` with exactly the values of out.size() successive
   /// normal() calls and leaves the generator in the same state they
   /// would, cached half-pair included. The batch form exists for speed:
-  /// the polar accept loop runs without a data-dependent branch, and
-  /// `finish` turns the accepted pairs into deviates in one pass.
-  void fill_normal(std::span<double> out, PolarFinish finish = polar_finish) noexcept;
+  /// `accept` draws every pair the batch needs, and `finish` turns them
+  /// into deviates in one pass.
+  void fill_normal(std::span<double> out, PolarFinish finish = polar_finish,
+                   PolarAccept accept = polar_accept) noexcept;
 
   /// Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/rx/band_extractor.hpp"
@@ -9,7 +10,22 @@
 
 namespace colorbars::baseline {
 
+void FskConfig::validate() const {
+  if (frequencies.empty()) {
+    throw std::invalid_argument("FskConfig: the frequency alphabet is empty");
+  }
+  for (const double frequency : frequencies) {
+    if (!std::isfinite(frequency) || !(frequency > 0.0)) {
+      throw std::invalid_argument("FskConfig: every frequency must be finite and positive");
+    }
+  }
+  if (!std::isfinite(dwell_s) || !(dwell_s > 0.0)) {
+    throw std::invalid_argument("FskConfig: dwell_s must be finite and positive");
+  }
+}
+
 led::EmissionTrace fsk_modulate(const std::vector<int>& symbols, const FskConfig& config) {
+  config.validate();
   const led::TriLed led(config.led);
   const led::Vec3 on = led.radiance(csk::white_drive());
   const led::Vec3 off = led.radiance(csk::off_drive());
@@ -36,6 +52,10 @@ std::vector<int> fsk_demodulate(const std::vector<camera::Frame>& frames,
   symbols.reserve(frames.size());
   for (const camera::Frame& frame : frames) {
     const std::vector<rx::ScanlineColor> scanlines = rx::reduce_to_scanlines(frame);
+    if (scanlines.empty()) {  // a frame without pixels carries no symbol
+      symbols.push_back(-1);
+      continue;
+    }
     // Count ON<->OFF transitions along the scanlines.
     int transitions = 0;
     bool previous_on = scanlines.front().lightness >= config.on_lightness;
@@ -77,6 +97,7 @@ std::vector<int> fsk_demodulate(const std::vector<camera::Frame>& frames,
 FskRunResult fsk_run(const FskConfig& config, const camera::SensorProfile& profile,
                      const channel::ChannelSpec& channel_spec, int symbol_count,
                      std::uint64_t seed) {
+  config.validate();
   util::Xoshiro256 rng(seed);
   std::vector<int> symbols(static_cast<std::size_t>(symbol_count));
   for (int& symbol : symbols) {

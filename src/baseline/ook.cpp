@@ -1,9 +1,11 @@
 #include "colorbars/baseline/ook.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/rx/band_extractor.hpp"
+#include "colorbars/rx/receiver.hpp"
 #include "colorbars/util/rng.hpp"
 
 namespace colorbars::baseline {
@@ -31,16 +33,30 @@ OokDecodeResult ook_demodulate(const std::vector<camera::Frame>& frames,
     observations.insert(observations.end(), slots.begin(), slots.end());
   }
 
+  // Slot s carries bit s, so the result spans slots [0, last]. A slot
+  // before bit 0, or more than rx::kMaxSlotGap past the slots kept before
+  // it (the receivers' arrival-order rule, anchored at bit 0), comes from
+  // a corrupt frame time and is dropped: it would index before the
+  // result or size it for every slot up to it. Two passes replay the
+  // rule, as rx::assemble_timeline does.
+  const auto keep = [](long long slot, long long& last) {
+    if (slot < 0 || rx::beyond_slot_gap(slot, 0, last)) return false;
+    last = std::max(last, slot);
+    return true;
+  };
   OokDecodeResult result;
-  if (observations.empty()) return result;
-  long long max_slot = 0;
+  long long last = 0;
+  bool any_kept = false;
   for (const auto& observation : observations) {
-    max_slot = std::max(max_slot, observation.slot);
+    if (keep(observation.slot, last)) any_kept = true;
   }
-  result.slots_total = max_slot + 1;
+  if (!any_kept) return result;
+  result.slots_total = last + 1;
   result.bits.assign(static_cast<std::size_t>(result.slots_total), 0);
   result.observed.assign(static_cast<std::size_t>(result.slots_total), false);
+  long long replay = 0;
   for (const auto& observation : observations) {
+    if (!keep(observation.slot, replay)) continue;
     const auto index = static_cast<std::size_t>(observation.slot);
     result.observed[index] = true;
     result.bits[index] = observation.lightness >= config.on_lightness ? 1 : 0;

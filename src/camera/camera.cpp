@@ -109,19 +109,16 @@ struct RowBayerValues {
                         : RowBayerValues{response.y, response.z};
 }
 
-/// Rows of noise drawn per fill_normal call: one draw's odd tail and
-/// set-up are shared by this many rows, and the deviates stay in L1.
-constexpr int kNoiseRows = 8;
-
 /// The back half of every frame render — vignette, Bayer mosaic with
 /// shot/read noise, demosaic, sRGB quantize, metadata stamp — shared by
 /// the single-trace and scene-composite paths. `fill_signal_row(r, out)`
 /// writes the vignetted pre-noise Bayer signal of row r into
 /// out[0..columns) (callers use simd::vignette_signal_span per
 /// constant-response column span). Noise then draws exactly two
-/// rng.normal() per pixel in row-major order (fill_normal over a few
-/// rows at a time, which is the same sequence), so any path funneled
-/// through here keeps the frozen golden captures byte-identical.
+/// rng.normal() per pixel in row-major order (fill_normal over
+/// kNoiseBatchRows rows at a time, with the dispatched accept loop and
+/// finish, which is the same sequence), so any path funneled through
+/// here keeps the frozen golden captures byte-identical.
 ///
 /// Rows stream from the draw to 8-bit codes: once raw row r exists,
 /// row r - 1 has both neighbours and is encoded, so the mosaic lives in
@@ -144,7 +141,8 @@ void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSetting
   scratch.arena.reset();
   const std::span<double> signal_row = scratch.arena.allocate<double>(width);
   const std::span<double> sigma_row = scratch.arena.allocate<double>(width);
-  const std::span<double> normals = scratch.arena.allocate<double>(2 * width * kNoiseRows);
+  const std::span<double> normals =
+      scratch.arena.allocate<double>(2 * width * kNoiseBatchRows);
   const std::span<double> window = scratch.arena.allocate<double>(3 * width);
   const auto raw_row = [&](int r) {
     return window.data() + static_cast<std::size_t>(r % 3) * width;
@@ -155,10 +153,10 @@ void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSetting
                           out.pixels.data() + static_cast<std::size_t>(r) * width);
   };
 
-  for (int first = 0; first < rows; first += kNoiseRows) {
-    const int count = std::min(kNoiseRows, rows - first);
+  for (int first = 0; first < rows; first += kNoiseBatchRows) {
+    const int count = std::min(kNoiseBatchRows, rows - first);
     rng.fill_normal(normals.first(2 * width * static_cast<std::size_t>(count)),
-                    simd::polar_finish);
+                    simd::polar_finish, simd::polar_accept);
     for (int r = first; r < first + count; ++r) {
       fill_signal_row(r, signal_row.data());
       simd::shot_sigma_row(signal_row.data(), columns, iso_gain, profile.well_capacity,

@@ -37,6 +37,7 @@ struct KernelTable {
   void (*delta_e_ab_many)(const double* ref_a, const double* ref_b, int count,
                           double a, double b, double* out);
   void (*polar_finish)(double* pairs, std::size_t count);
+  void (*polar_accept)(std::uint64_t* state, double* pairs, std::size_t count);
 };
 
 extern const KernelTable kScalarKernels;

@@ -14,12 +14,17 @@
 // tables per channel; the polar finish runs four pairs in lanes,
 // util::fma_log included, and calls no libm function. (The backend
 // needs FMA, and there util::polar_log, the scalar reference's log, is
-// util::fma_log.)
+// util::fma_log.) The polar accept loop runs four generators, one per
+// lane, over four consecutive blocks of the one stream, each started by
+// a jump-ahead.
 
 #include <immintrin.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 
 #include "colorbars/util/fma_log.hpp"
 #include "colorbars/util/rng.hpp"
@@ -342,11 +347,174 @@ void polar_finish_avx2(double* pairs, std::size_t count) {
   util::Xoshiro256::polar_finish(pairs + 2 * k, count - k);
 }
 
+// Four xoshiro256** generators, one per lane: word w of lane k's state
+// is lane k of s<w>.
+struct LaneGenerators {
+  __m256i s0, s1, s2, s3;
+};
+
+template <int k>
+__m256i rotl_lanes(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+// util::Xoshiro256::next in lanes. AVX2 has no 64-bit multiply, so x·5
+// and x·9 are x + (x << 2) and x + (x << 3), the same values mod 2^64.
+// Forced inline: called out of line, the accept loop keeps the state in
+// memory and runs at half speed.
+[[gnu::always_inline]] inline __m256i next_lanes(LaneGenerators& g) {
+  const __m256i times5 = _mm256_add_epi64(g.s1, _mm256_slli_epi64(g.s1, 2));
+  const __m256i rotated = rotl_lanes<7>(times5);
+  const __m256i result = _mm256_add_epi64(rotated, _mm256_slli_epi64(rotated, 3));
+  const __m256i t = _mm256_slli_epi64(g.s1, 17);
+  g.s2 = _mm256_xor_si256(g.s2, g.s0);
+  g.s3 = _mm256_xor_si256(g.s3, g.s1);
+  g.s1 = _mm256_xor_si256(g.s1, g.s2);
+  g.s0 = _mm256_xor_si256(g.s0, g.s3);
+  g.s2 = _mm256_xor_si256(g.s2, t);
+  g.s3 = rotl_lanes<45>(g.s3);
+  return result;
+}
+
+// uniform(-1.0, 1.0) of output r in lanes, with the scalar expressions
+// and order: -1.0 + 2.0 * (double(r >> 11) * 2^-53). AVX2 has no
+// u64 -> double conversion, but x = r >> 11 < 2^53 converts exactly
+// from its 32-bit halves: setting an exponent above each half gives
+// 2^84 + hi·2^32 and 2^52 + lo, and (2^84 + hi·2^32 - (2^84 + 2^52)) +
+// (2^52 + lo) is x with no rounding in either step.
+[[gnu::always_inline]] inline __m256d uniform_pm1_lanes(__m256i r) {
+  const __m256i x = _mm256_srli_epi64(r, 11);
+  const __m256d high = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(x, 32), _mm256_set1_epi64x(0x4530000000000000)));
+  const __m256d low = _mm256_castsi256_pd(
+      _mm256_blend_epi32(x, _mm256_set1_epi64x(0x4330000000000000), 0b10101010));
+  const __m256d value =
+      _mm256_add_pd(_mm256_sub_pd(high, _mm256_set1_pd(0x1.00000001p84)), low);
+  return _mm256_add_pd(
+      _mm256_set1_pd(-1.0),
+      _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_mul_pd(value, _mm256_set1_pd(0x1.0p-53))));
+}
+
+using util::Xoshiro256;
+
+constexpr std::size_t kBlockCount = std::size(kPolarAcceptBlocks);
+
+// x^(k·L) mod P for lanes k = 1..3 of each block length L, derived at
+// compile time.
+constexpr auto kLaneJumps = [] {
+  std::array<std::array<Xoshiro256::Gf2Poly, 3>, kBlockCount> jumps{};
+  for (std::size_t block = 0; block < kBlockCount; ++block) {
+    for (std::size_t k = 1; k <= 3; ++k) {
+      jumps[block][k - 1] = Xoshiro256::jump_polynomial(k * kPolarAcceptBlocks[block]);
+    }
+  }
+  return jumps;
+}();
+
+// One chunk of block length L: lane k draws the L/2 candidates of the
+// k-th block of L outputs from `state`, keeping its accepted pairs from
+// pair k·L/2 of `pairs` on, and the lanes are then concatenated in
+// stream order. The caller wants at least 2L pairs, so every candidate
+// may be accepted. Leaves `state` 4L outputs on, where lane 3 stopped,
+// and returns the number of pairs accepted.
+std::size_t accept_chunk(std::uint64_t* state, double* pairs, std::size_t length,
+                         const std::array<Xoshiro256::Gf2Poly, 3>& jumps) {
+  // Lane k starts at the XOR of the states state + i at the set bits i
+  // of x^(k·L) mod P. Each state is stored as one vector and all 256
+  // before the first load: four scalar stores per state take four
+  // times as long, and a vector load right behind them stalls on store
+  // forwarding.
+  __m256i walk[256];
+  std::uint64_t words[4] = {state[0], state[1], state[2], state[3]};
+  for (__m256i& entry : walk) {
+    entry = _mm256_set_epi64x(static_cast<long long>(words[3]), static_cast<long long>(words[2]),
+                              static_cast<long long>(words[1]), static_cast<long long>(words[0]));
+    (void)Xoshiro256::next(words);
+  }
+  __m256i start[4];
+  start[0] = walk[0];
+  for (std::size_t k = 1; k < 4; ++k) {
+    __m256i sum = _mm256_setzero_si256();
+    for (std::size_t word = 0; word < 4; ++word) {
+      for (std::uint64_t bits = jumps[k - 1][word]; bits != 0; bits &= bits - 1) {
+        const auto i = 64 * word + static_cast<std::size_t>(std::countr_zero(bits));
+        sum = _mm256_xor_si256(sum, walk[i]);
+      }
+    }
+    start[k] = sum;
+  }
+  // start[k] holds lane k's four words; transpose to one vector per word.
+  const __m256i lanes01_even = _mm256_unpacklo_epi64(start[0], start[1]);  // a0 b0 a2 b2
+  const __m256i lanes01_odd = _mm256_unpackhi_epi64(start[0], start[1]);   // a1 b1 a3 b3
+  const __m256i lanes23_even = _mm256_unpacklo_epi64(start[2], start[3]);  // c0 d0 c2 d2
+  const __m256i lanes23_odd = _mm256_unpackhi_epi64(start[2], start[3]);   // c1 d1 c3 d3
+  LaneGenerators g = {
+      _mm256_permute2x128_si256(lanes01_even, lanes23_even, 0x20),
+      _mm256_permute2x128_si256(lanes01_odd, lanes23_odd, 0x20),
+      _mm256_permute2x128_si256(lanes01_even, lanes23_even, 0x31),
+      _mm256_permute2x128_si256(lanes01_odd, lanes23_odd, 0x31),
+  };
+
+  // The reference loop's compaction per lane: each candidate is stored
+  // at its lane's next free slot, which advances only on acceptance.
+  const std::size_t candidates = length / 2;
+  double* out0 = pairs;
+  double* out1 = pairs + 2 * candidates;
+  double* out2 = pairs + 4 * candidates;
+  double* out3 = pairs + 6 * candidates;
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t i = 0; i < candidates; ++i) {
+    const __m256d u = uniform_pm1_lanes(next_lanes(g));
+    const __m256d v = uniform_pm1_lanes(next_lanes(g));
+    const __m256d s = _mm256_add_pd(_mm256_mul_pd(u, u), _mm256_mul_pd(v, v));
+    const int accepted = _mm256_movemask_pd(_mm256_and_pd(
+        _mm256_cmp_pd(s, one, _CMP_LT_OQ), _mm256_cmp_pd(s, zero, _CMP_NEQ_UQ)));
+    const __m256d pairs02 = _mm256_unpacklo_pd(u, v);  // u0 v0 u2 v2
+    const __m256d pairs13 = _mm256_unpackhi_pd(u, v);  // u1 v1 u3 v3
+    _mm_storeu_pd(out0, _mm256_castpd256_pd128(pairs02));
+    _mm_storeu_pd(out1, _mm256_castpd256_pd128(pairs13));
+    _mm_storeu_pd(out2, _mm256_extractf128_pd(pairs02, 1));
+    _mm_storeu_pd(out3, _mm256_extractf128_pd(pairs13, 1));
+    // Lane k advances by 2 · bit k of the mask.
+    out0 += (accepted << 1) & 2;
+    out1 += accepted & 2;
+    out2 += (accepted >> 1) & 2;
+    out3 += (accepted >> 2) & 2;
+  }
+  state[0] = static_cast<std::uint64_t>(_mm256_extract_epi64(g.s0, 3));
+  state[1] = static_cast<std::uint64_t>(_mm256_extract_epi64(g.s1, 3));
+  state[2] = static_cast<std::uint64_t>(_mm256_extract_epi64(g.s2, 3));
+  state[3] = static_cast<std::uint64_t>(_mm256_extract_epi64(g.s3, 3));
+  const double* const ends[4] = {out0, out1, out2, out3};
+  double* end = out0;
+  for (std::size_t k = 1; k < 4; ++k) {
+    const double* first = pairs + 2 * k * candidates;
+    const auto values = static_cast<std::size_t>(ends[k] - first);
+    std::memmove(end, first, values * sizeof(double));
+    end += values;
+  }
+  return static_cast<std::size_t>(end - pairs) / 2;
+}
+
+void polar_accept_avx2(std::uint64_t* state, double* pairs, std::size_t count) {
+  // Largest blocks first; the reference loop draws what they leave.
+  std::size_t accepted = 0;
+  for (std::size_t block = 0; block < kBlockCount; ++block) {
+    const std::size_t length = kPolarAcceptBlocks[block];
+    while (count - accepted >= 2 * length) {
+      accepted += accept_chunk(state, pairs + 2 * accepted, length, kLaneJumps[block]);
+    }
+  }
+  Xoshiro256::polar_accept(state, pairs + 2 * accepted, count - accepted);
+}
+
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
     demosaic_code_row_avx2, row_lab_rgb_sums_avx2, vignette_signal_avx2,
     shot_sigma_avx2,        delta_e_ab_avx2,       polar_finish_avx2,
+    polar_accept_avx2,
 };
 
 }  // namespace colorbars::simd::detail

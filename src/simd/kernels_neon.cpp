@@ -87,6 +87,7 @@ void delta_e_ab_neon(const double* ref_a, const double* ref_b, int count, double
 const KernelTable kNeonKernels = {
     demosaic_code_row_neon, row_lab_rgb_sums_neon, vignette_signal_neon,
     shot_sigma_neon,        delta_e_ab_neon,       util::Xoshiro256::polar_finish,
+    util::Xoshiro256::polar_accept,
 };
 
 }  // namespace colorbars::simd::detail

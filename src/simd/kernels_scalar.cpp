@@ -41,6 +41,7 @@ void delta_e_ab_scalar(const double* ref_a, const double* ref_b, int count, doub
 const KernelTable kScalarKernels = {
     demosaic_code_row_scalar, row_lab_rgb_sums_scalar, vignette_signal_scalar,
     shot_sigma_scalar,        delta_e_ab_scalar,       util::Xoshiro256::polar_finish,
+    util::Xoshiro256::polar_accept,
 };
 
 const LabLut& lab_lut() noexcept {

@@ -83,6 +83,7 @@ void delta_e_ab_sse42(const double* ref_a, const double* ref_b, int count, doubl
 const KernelTable kSse42Kernels = {
     demosaic_code_row_sse42, row_lab_rgb_sums_sse42, vignette_signal_sse42,
     shot_sigma_sse42,        delta_e_ab_sse42,       util::Xoshiro256::polar_finish,
+    util::Xoshiro256::polar_accept,
 };
 
 }  // namespace colorbars::simd::detail

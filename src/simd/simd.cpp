@@ -178,4 +178,8 @@ void polar_finish(double* pairs, std::size_t count) {
   active_table().polar_finish(pairs, count);
 }
 
+void polar_accept(std::uint64_t* state, double* pairs, std::size_t count) {
+  active_table().polar_accept(state, pairs, count);
+}
+
 }  // namespace colorbars::simd

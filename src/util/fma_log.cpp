@@ -224,4 +224,6 @@ constexpr bool kHardwareFma = false;
 
 double polar_log(double x) noexcept { return kHardwareFma ? fma_log(x) : std::log(x); }
 
+bool polar_log_is_fma_log() noexcept { return kHardwareFma; }
+
 }  // namespace colorbars::util

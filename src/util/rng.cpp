@@ -1,5 +1,6 @@
 #include "colorbars/util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "colorbars/util/fma_log.hpp"
@@ -54,7 +55,27 @@ void Xoshiro256::polar_finish(double* pairs, std::size_t count) noexcept {
   }
 }
 
-void Xoshiro256::fill_normal(std::span<double> out, PolarFinish finish) noexcept {
+void Xoshiro256::polar_accept(std::uint64_t* state, double* pairs,
+                              std::size_t count) noexcept {
+  Xoshiro256 rng;
+  std::copy_n(state, rng.state_.size(), rng.state_.begin());
+  // Each candidate (u, v) is written to the next free pair slot and the
+  // slot advances only on acceptance, so a rejected candidate is
+  // overwritten instead of costing a mispredicted branch.
+  std::size_t accepted = 0;
+  while (accepted < count) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double s = u * u + v * v;
+    pairs[2 * accepted] = u;
+    pairs[2 * accepted + 1] = v;
+    accepted += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+  }
+  std::copy_n(rng.state_.begin(), rng.state_.size(), state);
+}
+
+void Xoshiro256::fill_normal(std::span<double> out, PolarFinish finish,
+                             PolarAccept accept) noexcept {
   std::size_t begin = 0;
   if (!out.empty() && has_cached_normal_) {
     has_cached_normal_ = false;
@@ -66,19 +87,7 @@ void Xoshiro256::fill_normal(std::span<double> out, PolarFinish finish) noexcept
   // the call-by-call sequence would.
   const std::size_t pairs = (out.size() - begin) / 2;
   double* const pair_out = out.data() + begin;
-
-  // Accept loop: each candidate (u, v) is written to the next free pair
-  // slot and the slot advances only on acceptance, so a rejected
-  // candidate is overwritten instead of costing a mispredicted branch.
-  std::size_t accepted = 0;
-  while (accepted < pairs) {
-    const double u = uniform(-1.0, 1.0);
-    const double v = uniform(-1.0, 1.0);
-    const double s = u * u + v * v;
-    pair_out[2 * accepted] = u;
-    pair_out[2 * accepted + 1] = v;
-    accepted += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
-  }
+  accept(state_.data(), pair_out, pairs);
   finish(pair_out, pairs);
   if ((out.size() - begin) % 2 != 0) out.back() = normal();
 }

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "colorbars/util/rng.hpp"
+
 namespace colorbars::baseline {
 namespace {
 
@@ -44,6 +50,38 @@ TEST(Ook, ThroughputIsOneBitPerSymbol) {
   EXPECT_LT(result.throughput_bps(), 2000.0);
 }
 
+TEST(Ook, DemodulateDropsSlotsOfCorruptFrameTimes) {
+  // A frame stamped before the stream (negative slots) or 10^5 s on
+  // (beyond rx::kMaxSlotGap of bit 0 and of the slots before it) is
+  // dropped: nothing is written before the result, the result is not
+  // sized for every slot up to it, and the other frames decode as
+  // without it, wherever it arrives.
+  OokConfig config;
+  util::Xoshiro256 rng(106);
+  std::vector<std::uint8_t> bits(600);
+  for (auto& bit : bits) bit = static_cast<std::uint8_t>(rng.below(2));
+  camera::RollingShutterCamera camera(camera::ideal_profile(), {}, 107);
+  const std::vector<camera::Frame> frames = camera.capture_video(ook_modulate(bits, config));
+  ASSERT_GE(frames.size(), 3u);
+  const OokDecodeResult clean = ook_demodulate(frames, config);
+  ASSERT_GT(clean.slots_total, 0);
+  for (const double start_time_s : {-100.0, 1e5}) {
+    camera::Frame corrupt = frames[1];
+    corrupt.start_time_s = start_time_s;
+    const OokDecodeResult alone = ook_demodulate({corrupt}, config);
+    EXPECT_EQ(alone.slots_total, 0) << start_time_s;
+    EXPECT_TRUE(alone.bits.empty()) << start_time_s;
+    for (const std::size_t position : {std::size_t{0}, std::size_t{1}, frames.size()}) {
+      std::vector<camera::Frame> mixed = frames;
+      mixed.insert(mixed.begin() + static_cast<std::ptrdiff_t>(position), corrupt);
+      const OokDecodeResult decoded = ook_demodulate(mixed, config);
+      EXPECT_EQ(decoded.slots_total, clean.slots_total) << start_time_s << " at " << position;
+      EXPECT_EQ(decoded.bits, clean.bits) << start_time_s << " at " << position;
+      EXPECT_EQ(decoded.observed, clean.observed) << start_time_s << " at " << position;
+    }
+  }
+}
+
 TEST(Fsk, BitsPerSymbolIsLog2OfAlphabet) {
   FskConfig config;
   EXPECT_EQ(config.bits_per_symbol(), 3);
@@ -64,6 +102,36 @@ TEST(Fsk, SquareWaveAlternates) {
   // At 600 Hz the first half-period (0.83 ms) is lit, the next dark.
   EXPECT_GT(trace.sample(0.0004).sum(), 0.0);
   EXPECT_DOUBLE_EQ(trace.sample(0.0012).sum(), 0.0);
+}
+
+TEST(Fsk, InvalidConfigIsRejected) {
+  // Each of these made fsk_modulate loop without end (a negative or
+  // infinite slice, an infinite dwell) or append a NaN-length segment.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<FskConfig> configs(1);
+  configs.back().frequencies.clear();
+  for (const double frequency : {-900.0, 0.0, kNan, kInf}) {
+    configs.emplace_back().frequencies[1] = frequency;
+  }
+  for (const double dwell_s : {-1.0 / 30.0, 0.0, kNan, kInf}) {
+    configs.emplace_back().dwell_s = dwell_s;
+  }
+  for (const FskConfig& config : configs) {
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+    EXPECT_THROW((void)fsk_modulate({0}, config), std::invalid_argument);
+    EXPECT_THROW((void)fsk_run(config, camera::ideal_profile(), {}, 4, 108),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(FskConfig{}.validate());
+}
+
+TEST(Fsk, FrameWithoutPixelsDecodesAsNoSymbol) {
+  camera::Frame empty;
+  empty.row_time_s = 1e-5;
+  camera::Frame no_columns = empty;
+  no_columns.rows = 16;
+  EXPECT_EQ(fsk_demodulate({empty, no_columns}, FskConfig{}), (std::vector<int>{-1, -1}));
 }
 
 TEST(Fsk, DecodesMostSymbolsCorrectly) {

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
+#include <span>
 #include <random>
 #include <vector>
 
@@ -346,6 +349,109 @@ TEST(Simd, PolarFinishMatchesReferenceAtEveryCount) {
           << simd::backend_name(backend) << " branch pairs at offset=" << offset;
     }
   }
+}
+
+TEST(Simd, PolarAcceptMatchesReferenceAtEveryCount) {
+  // The dispatched accept loop against Xoshiro256::polar_accept, bit for
+  // bit: the same pairs, nothing written past them, and the same state
+  // left behind, from 50 start states, at every count up to 300, at
+  // 2L - 1, 2L and 2L + 1 pairs for every block length L of the lane
+  // kernel, and at the render's batch sizes (a whole and a last partial
+  // batch of each built-in profile, with and without a cached
+  // half-pair).
+  BackendGuard guard;
+  std::vector<std::size_t> counts;
+  for (std::size_t count = 0; count <= 300; ++count) counts.push_back(count);
+  for (const std::size_t length : simd::kPolarAcceptBlocks) {
+    for (const std::size_t count : {2 * length - 1, 2 * length, 2 * length + 1}) {
+      counts.push_back(count);
+    }
+  }
+  for (const camera::SensorProfile& profile :
+       {camera::nexus5_profile(), camera::iphone5s_profile(), camera::ideal_profile()}) {
+    for (const int rows : {camera::kNoiseBatchRows, profile.rows % camera::kNoiseBatchRows}) {
+      const auto pairs = static_cast<std::size_t>(rows) * static_cast<std::size_t>(profile.columns);
+      if (pairs > 0) counts.insert(counts.end(), {pairs - 1, pairs});
+    }
+  }
+  std::vector<simd::Backend> backends = vector_backends();
+  backends.push_back(simd::Backend::kScalar);
+  constexpr double kUnwritten = -7.0;
+  constexpr std::size_t kGuardPairs = 4;
+  util::Xoshiro256 seeds(0xacce97);
+  for (int start_index = 0; start_index < 50; ++start_index) {
+    const std::array<std::uint64_t, 4> start = {seeds(), seeds(), seeds(), seeds()};
+    for (const std::size_t count : counts) {
+      std::array<std::uint64_t, 4> reference_state = start;
+      std::vector<double> reference(2 * (count + kGuardPairs), kUnwritten);
+      util::Xoshiro256::polar_accept(reference_state.data(), reference.data(), count);
+      for (const simd::Backend backend : backends) {
+        ASSERT_TRUE(simd::set_backend(backend));
+        std::array<std::uint64_t, 4> state = start;
+        std::vector<double> out(reference.size(), kUnwritten);
+        simd::polar_accept(state.data(), out.data(), count);
+        ASSERT_EQ(std::memcmp(out.data(), reference.data(), out.size() * sizeof(double)), 0)
+            << simd::backend_name(backend) << " start " << start_index << " count " << count;
+        ASSERT_EQ(state, reference_state)
+            << simd::backend_name(backend) << " start " << start_index << " count " << count;
+      }
+    }
+  }
+}
+
+TEST(Simd, RenderNoiseDrawsMatchReferenceAndFrozenDigest) {
+  // 2x10^7 normals drawn as the render draws them: 64 Nexus 5 frames,
+  // every other one opened by the auto-exposure normal() that leaves a
+  // cached half-pair, each then filled in batches of kNoiseBatchRows
+  // rows. Every backend's dispatched accept loop and finish must give
+  // the reference path's draws, draw for draw, and an FNV-1a digest pins
+  // the reference draws' bits: the golden captures hash 8-bit codes and
+  // miss a change to a few draws in 10^7.
+  BackendGuard guard;
+  const camera::SensorProfile profile = camera::nexus5_profile();
+  const auto row_normals = 2 * static_cast<std::size_t>(profile.columns);
+  std::vector<simd::Backend> backends = vector_backends();
+  backends.push_back(simd::Backend::kScalar);
+  util::Xoshiro256 reference(0x5eed);
+  std::vector<util::Xoshiro256> dispatched(backends.size(), reference);
+  std::vector<double> expected(row_normals * camera::kNoiseBatchRows);
+  std::vector<double> drawn(expected.size());
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t count = 0;
+  for (int frame = 0; frame < 64; ++frame) {
+    if (frame % 2 == 0) {
+      (void)reference.normal();
+      for (util::Xoshiro256& rng : dispatched) (void)rng.normal();
+    }
+    for (int first = 0; first < profile.rows; first += camera::kNoiseBatchRows) {
+      const auto rows = static_cast<std::size_t>(
+          std::min(camera::kNoiseBatchRows, profile.rows - first));
+      const std::span<double> batch = std::span(expected).first(rows * row_normals);
+      reference.fill_normal(batch);
+      for (std::size_t b = 0; b < backends.size(); ++b) {
+        ASSERT_TRUE(simd::set_backend(backends[b]));
+        dispatched[b].fill_normal(std::span(drawn).first(batch.size()), simd::polar_finish,
+                                  simd::polar_accept);
+        ASSERT_EQ(std::memcmp(drawn.data(), batch.data(), batch.size() * sizeof(double)), 0)
+            << simd::backend_name(backends[b]) << " frame " << frame << " row " << first;
+      }
+      for (const double value : batch) {
+        const auto word = std::bit_cast<std::uint64_t>(value);
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (word >> (8 * byte)) & 0xff;
+          hash *= 0x100000001b3ULL;
+        }
+      }
+      count += batch.size();
+    }
+  }
+  const auto next = std::bit_cast<std::uint64_t>(reference.normal());
+  for (util::Xoshiro256& rng : dispatched) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal()), next);
+  }
+  EXPECT_GE(count, 20'000'000u);
+  if (!util::polar_log_is_fma_log()) GTEST_SKIP() << "digest pinned for util::fma_log only";
+  EXPECT_EQ(hash, 0xa9f2257890f89e36ULL) << "digest 0x" << std::hex << hash;
 }
 
 TEST(Simd, VignetteShotSigmaDeltaEMatchScalarAtEveryOffset) {

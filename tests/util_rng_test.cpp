@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
+
+#include "colorbars/simd/simd.hpp"
 
 namespace colorbars::util {
 namespace {
@@ -125,6 +128,120 @@ TEST(Xoshiro256, FillNormalMatchesSuccessiveNormalCalls) {
       }
     }
   }
+
+  // Sizes around 2L pairs for every block length L of the lane accept
+  // loop, up to a render batch, through the dispatched accept loop and
+  // finish on every backend.
+  std::vector<std::size_t> sizes;
+  for (const std::size_t length : simd::kPolarAcceptBlocks) {
+    for (std::size_t n = 4 * length - 2; n <= 4 * length + 2; ++n) sizes.push_back(n);
+  }
+  const simd::Backend saved = simd::active_backend();
+  std::vector<double> expected;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const bool cached : {false, true}) {
+      for (const std::size_t n : sizes) {
+        Xoshiro256 reference(seed * 1000003 + n);
+        if (cached) (void)reference.normal();
+        Xoshiro256 start = reference;
+        expected.resize(n);
+        for (double& value : expected) value = reference.normal();
+        for (const simd::Backend backend : {simd::Backend::kScalar, simd::Backend::kSse42,
+                                            simd::Backend::kAvx2, simd::Backend::kNeon}) {
+          if (!simd::set_backend(backend)) continue;
+          Xoshiro256 batched = start;
+          batch.assign(n, 0.0);
+          batched.fill_normal(batch, simd::polar_finish, simd::polar_accept);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
+                      std::bit_cast<std::uint64_t>(expected[i]))
+                << simd::backend_name(backend) << " seed " << seed << " cached " << cached
+                << " n " << n << " i " << i;
+          }
+          Xoshiro256 after = reference;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batched.normal()),
+                    std::bit_cast<std::uint64_t>(after.normal()))
+              << simd::backend_name(backend) << " seed " << seed << " cached " << cached
+              << " n " << n;
+          ASSERT_EQ(batched(), after())
+              << simd::backend_name(backend) << " seed " << seed << " cached " << cached
+              << " n " << n;
+        }
+      }
+    }
+  }
+  simd::set_backend(saved);
+}
+
+/// The states start, M·start, ..., M²⁵⁵·start XORed at the set bits of
+/// c: start advanced by n steps when c = xⁿ mod P.
+std::array<std::uint64_t, 4> apply_polynomial(std::array<std::uint64_t, 4> start,
+                                              const Xoshiro256::Gf2Poly& c) {
+  std::array<std::uint64_t, 4> sum = {0, 0, 0, 0};
+  for (std::size_t i = 0; i < 256; ++i) {
+    if (((c[i / 64] >> (i % 64)) & 1) != 0) {
+      for (std::size_t word = 0; word < 4; ++word) sum[word] ^= start[word];
+    }
+    (void)Xoshiro256::next(start.data());
+  }
+  return sum;
+}
+
+TEST(Xoshiro256, JumpPolynomialsAdvanceByTheirLength) {
+  // Each lane start of the lane accept loop, x^(k·L) mod P applied to a
+  // state, is that state k·L scalar steps on, for every block length L,
+  // k = 1..3, from several states; and jump_polynomial(n) for n < 256 is
+  // x^n itself.
+  Xoshiro256 seeds(0x1a9e);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::array<std::uint64_t, 4> start = {seeds(), seeds(), seeds(), seeds()};
+    for (const std::size_t length : simd::kPolarAcceptBlocks) {
+      for (std::size_t k = 1; k <= 3; ++k) {
+        std::array<std::uint64_t, 4> stepped = start;
+        for (std::size_t step = 0; step < k * length; ++step) {
+          (void)Xoshiro256::next(stepped.data());
+        }
+        EXPECT_EQ(apply_polynomial(start, Xoshiro256::jump_polynomial(k * length)), stepped)
+            << "trial " << trial << " L " << length << " k " << k;
+      }
+    }
+  }
+  for (const std::uint64_t n : {0u, 1u, 63u, 64u, 200u, 255u}) {
+    Xoshiro256::Gf2Poly monomial = {0, 0, 0, 0};
+    monomial[n / 64] = std::uint64_t{1} << (n % 64);
+    EXPECT_EQ(Xoshiro256::jump_polynomial(n), monomial) << "n " << n;
+  }
+}
+
+/// a·b mod P over GF(2).
+Xoshiro256::Gf2Poly multiply_mod_p(const Xoshiro256::Gf2Poly& a, const Xoshiro256::Gf2Poly& b) {
+  Xoshiro256::Gf2Poly product = {0, 0, 0, 0};
+  for (int i = 255; i >= 0; --i) {
+    // product = product·x mod P, then add a where b has x^i.
+    const std::uint64_t overflow = product[3] >> 63;
+    for (std::size_t word = 3; word > 0; --word) {
+      product[word] = (product[word] << 1) | (product[word - 1] >> 63);
+    }
+    product[0] <<= 1;
+    for (std::size_t word = 0; word < 4; ++word) {
+      product[word] ^= Xoshiro256::kStatePolynomial[word] & (0 - overflow);
+      product[word] ^= a[word] & (0 - ((b[static_cast<std::size_t>(i) / 64] >> (i % 64)) & 1));
+    }
+  }
+  return product;
+}
+
+TEST(Xoshiro256, StatePolynomialGivesThePublishedJumps) {
+  // x^(2^128) mod P and x^(2^192) mod P, by repeated squaring, are the
+  // JUMP and LONG_JUMP words of the reference xoshiro256 jump() and
+  // long_jump(), so a wrong digit of P fails here.
+  Xoshiro256::Gf2Poly power = {2, 0, 0, 0};  // x
+  for (int squaring = 0; squaring < 128; ++squaring) power = multiply_mod_p(power, power);
+  EXPECT_EQ(power, (Xoshiro256::Gf2Poly{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                                         0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL}));
+  for (int squaring = 128; squaring < 192; ++squaring) power = multiply_mod_p(power, power);
+  EXPECT_EQ(power, (Xoshiro256::Gf2Poly{0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                                         0x77710069854ee241ULL, 0x39109bb02acbe635ULL}));
 }
 
 TEST(Xoshiro256, NormalWithParametersShiftsAndScales) {

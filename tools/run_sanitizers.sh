@@ -18,11 +18,17 @@
 # The two instrumentations are mutually exclusive, so each gets its own
 # build tree under build-asan/ and build-tsan/. Usage:
 #
-#   tools/run_sanitizers.sh [jobs]
+#   tools/run_sanitizers.sh [jobs]          both legs
+#   tools/run_sanitizers.sh --tsan [jobs]   the TSan leg only (the CI tsan job)
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+legs="all"
+if [ "${1:-}" = "--tsan" ]; then
+  legs="tsan"
+  shift
+fi
 jobs="${1:-$(nproc)}"
 
 # TSan must cover the concurrency surface: if a rename/move ever drops
@@ -73,9 +79,11 @@ check_tsan_suites() {
 }
 
 # ASan+UBSan over everything; halt on the first UB report.
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-ASAN_OPTIONS="detect_leaks=1" \
-  run_suite build-asan -DCOLORBARS_SANITIZE=ON '*'
+if [ "${legs}" = "all" ]; then
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+    run_suite build-asan -DCOLORBARS_SANITIZE=ON '*'
+fi
 
 # TSan over the concurrency surface. COLORBARS_THREADS is left unset so
 # the pool sizes from hardware_concurrency; the tests themselves also
