@@ -88,13 +88,8 @@ int main(int argc, char** argv) {
   }
   packets_reported += streaming.finish().size();
 
-  pipeline::PipelineStats pipeline_stats;
-  pipeline_stats.frames_streamed = source.frames_emitted();
-  pipeline_stats.refills = source.refills();
-  pipeline_stats.pool = pool.stats();
-  streaming.note_pipeline_stats(pipeline_stats);
-
   const rx::StreamingStats& stats = streaming.stats();
+  const pipeline::BufferPoolStats pool_stats = pool.stats();
   const double first_us = mean_us(poll_s_by_second.front());
   double last_us = 0.0;
   for (auto it = poll_s_by_second.rbegin(); it != poll_s_by_second.rend(); ++it) {
@@ -117,11 +112,11 @@ int main(int argc, char** argv) {
               stats.peak_window_slots, streaming.holdback_slots(),
               streaming.tail_keep_slots());
   std::printf("total parse time     %.1f ms\n", 1e3 * stats.parse_time_s);
-  std::printf("pipeline refills     %lld (lookahead %d)\n", pipeline_stats.refills,
+  std::printf("pipeline refills     %lld (lookahead %d)\n", source.refills(),
               pipeline::SourceConfig{}.lookahead);
-  std::printf("pool frame reuse     %lld hits / %lld misses\n", stats.pool_frame_hits,
-              stats.pool_frame_misses);
-  std::printf("peak resident frames %lld\n", stats.peak_resident_frames);
+  std::printf("pool frame reuse     %lld hits / %lld misses\n", pool_stats.frame_hits,
+              pool_stats.frame_misses);
+  std::printf("peak resident frames %lld\n", pool_stats.peak_outstanding_frames);
   std::printf("mean poll, first 1 s %8.2f us\n", first_us);
   std::printf("mean poll, last 1 s  %8.2f us\n", last_us);
   const double ratio = first_us > 0.0 ? last_us / first_us : 0.0;
@@ -134,7 +129,7 @@ int main(int argc, char** argv) {
   // The pool never allocates more frames than one lookahead batch, no
   // matter how long the capture runs.
   const bool pooled =
-      stats.peak_resident_frames <= pipeline::SourceConfig{}.lookahead;
+      pool_stats.peak_outstanding_frames <= pipeline::SourceConfig{}.lookahead;
   std::printf("\n%s: per-poll cost %s, window %s, frames %s\n",
               flat && bounded && pooled ? "PASS" : "FAIL", flat ? "flat" : "GREW",
               bounded ? "bounded" : "UNBOUNDED", pooled ? "pooled" : "UNPOOLED");

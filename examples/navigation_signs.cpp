@@ -36,11 +36,16 @@ Reception receive_with(const camera::SensorProfile& profile,
                        const rx::ReceiverConfig& rx_config, std::uint64_t seed) {
   camera::RollingShutterCamera camera(profile, {}, seed);
   // Stream the capture through the frame pipeline (only a lookahead's
-  // worth of frames ever exists) into the streaming receiver sink.
+  // worth of frames ever exists): each frame goes to the streaming
+  // receiver as the camera delivers it.
   pipeline::BufferPool pool;
   pipeline::FrameSource source(camera, transmission.trace, pool, {});
   rx::StreamingReceiver receiver(rx_config);
-  (void)pipeline::run_pipeline(source, {}, receiver);
+  while (const camera::Frame* frame = source.next()) {
+    receiver.push_frame(*frame);
+    (void)receiver.poll();
+  }
+  receiver.on_stream_end();
   const rx::ReceiverReport report = receiver.take_report();
   Reception reception;
   reception.device = profile.name;

@@ -27,7 +27,8 @@ struct LinkQualitySample {
   /// ΔE decision margin sum/count over classified payload slots.
   double margin_sum = 0.0;
   long long margin_count = 0;
-  /// Frame pipeline counters for the interval.
+  /// Frames the interval's capture delivered and its frame stages
+  /// dropped (frontend::CameraFrontend's counts).
   long long frames_streamed = 0;
   long long frames_dropped = 0;
 

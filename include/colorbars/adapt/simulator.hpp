@@ -3,13 +3,15 @@
 // End-to-end closed-loop link adaptation over a channel trajectory.
 // AdaptiveLinkSimulator drives the full loop the subsystem exists for:
 //
-//   trajectory -> channel spec -> tx at the applied rung -> camera ->
-//   frame pipeline -> StreamingReceiver -> LinkMonitor -> RateController
-//   -> FeedbackLink -> (delayed, maybe lost) rung switch at the tx.
+//   trajectory -> channel spec -> tx at the applied rung ->
+//   frontend::CameraFrontend -> StreamingReceiver -> LinkMonitor ->
+//   RateController -> FeedbackLink -> (delayed, maybe lost) rung switch
+//   at the tx.
 //
 // Time advances in control intervals. Each interval transmits one
 // payload burst at the applied rung through the channel the trajectory
-// dictates at that moment, streams the capture into the persistent
+// dictates at that moment, captures it through a CameraFrontend (the
+// capture LinkSimulator runs) and pushes the blocks into the persistent
 // StreamingReceiver (frames re-stamped onto the epoch's continuous slot
 // grid via pipeline::SourceConfig::time_shift_s), then lets the
 // controller act on the monitor's smoothed quality. A rung change

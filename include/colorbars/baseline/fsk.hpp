@@ -28,10 +28,13 @@ struct FskConfig {
   double on_lightness = 35.0;
 
   /// Throws std::invalid_argument unless the alphabet is non-empty,
-  /// every frequency finite and positive, and dwell_s finite and
-  /// positive: a negative half-period never shortens the dwell left, so
-  /// fsk_modulate's square-wave loop would not end, and NaN would append
-  /// NaN-length segments. fsk_modulate and fsk_run call it.
+  /// every frequency finite and positive, dwell_s finite and positive,
+  /// and no frequency puts more than 2^16 half-periods in one dwell
+  /// (the default alphabet needs at most 180). Otherwise fsk_modulate's
+  /// square-wave loop would not end: a negative half-period never
+  /// shortens the dwell left, and one below an ulp of it (1e300 Hz) is
+  /// absorbed by the subtraction. NaN would append NaN-length segments.
+  /// fsk_modulate and fsk_run call it.
   void validate() const;
 
   [[nodiscard]] int bits_per_symbol() const noexcept {

@@ -18,7 +18,7 @@ namespace colorbars::channel {
 
 /// Drops each frame independently with the configured probability —
 /// the phone camera pipeline skipping a frame. A dropped frame never
-/// reaches the sink (run_pipeline short-circuits later stages).
+/// reaches the receiver (pipeline::apply_stages skips later stages).
 class FrameDropStage final : public pipeline::FrameStage {
  public:
   /// Throws std::invalid_argument unless probability is in [0, 1).
@@ -56,8 +56,8 @@ class GainWobbleStage final : public pipeline::FrameStage {
 
 /// Owns the frame-domain stages a ChannelSpec configures, in canonical
 /// order (drop first — a skipped frame is never processed further),
-/// and exposes them in the span form run_pipeline consumes. Empty for
-/// the identity spec.
+/// and exposes them in the span form pipeline::apply_stages takes.
+/// Empty for the identity spec.
 class StageChain {
  public:
   StageChain() = default;

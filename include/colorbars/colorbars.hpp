@@ -46,7 +46,7 @@
 #include "colorbars/camera/ppm.hpp"      // frame export
 
 #include "colorbars/pipeline/buffer_pool.hpp"  // recycled frame/scratch buffers
-#include "colorbars/pipeline/pipeline.hpp"     // streaming source/stage/sink
+#include "colorbars/pipeline/pipeline.hpp"     // streaming source and stages
 
 #include "colorbars/channel/stages.hpp"  // frame-domain channel impairments
 

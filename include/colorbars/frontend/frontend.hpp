@@ -15,8 +15,9 @@
 //  * pd::PdFrontend — the photodiode/solar-cell sampler (no frame
 //    raster at all; see colorbars/pd/frontend.hpp).
 //
-// Seed discipline: a frontend is constructed from one capture seed (the
-// LinkSimulator draws it as before: the first rng_() of the run). The
+// Seed discipline: a frontend is constructed from one capture seed
+// (LinkSimulator draws it as the first rng_() of the run;
+// AdaptiveLinkSimulator derives one per control interval). The
 // sub-streams every frontend derives from it are pinned here so the
 // camera path reproduces the pre-seam captures byte for byte and the pd
 // path sees the *same* optical-channel randomness (occlusion bursts)
@@ -82,20 +83,22 @@ struct CameraFrontendConfig {
   channel::ChannelSpec channel{};
   double symbol_rate_hz = 2000.0;
   rx::ExtractorConfig extractor{};
-  /// pipeline::SourceConfig lookahead (peak resident frames).
-  int pipeline_lookahead = 8;
-  /// Capture start offset into the trace (capture_video semantics).
-  double start_offset_s = 0.0;
+  /// The prefetch ring (lookahead: peak resident frames), the capture's
+  /// start offset into the trace (capture_video semantics), and the
+  /// stream clock its frames are re-stamped onto (the adaptive run's
+  /// control intervals, spliced onto one epoch).
+  pipeline::SourceConfig source{};
 };
 
-/// The rolling-shutter path behind the seam: owns the camera (seeded
+/// The rolling-shutter path behind the seam, and the one capture route
+/// from a single-LED emission to its receiver: owns the camera (seeded
 /// exactly as the pre-seam make_camera), the channel's frame-domain
 /// stage chain, the pooled prefetch ring and the per-stream reduction
-/// arena. Each next_block renders/pulls one frame through the stages
+/// arena. Each next_block pulls one frame through the stages
 /// (internally skipping dropped frames) and reduces it to slot
-/// observations with the arena-backed extract_slots — the exact
-/// observation stream the pre-seam StreamingReceiver-as-FrameSink and
-/// ObservationCollector paths produced.
+/// observations with the arena-backed extract_slots — the observation
+/// stream StreamingReceiver::push_frame would extract from the same
+/// frame.
 class CameraFrontend final : public SlotObservationSource {
  public:
   /// `trace` must outlive the frontend. Construction performs the
@@ -136,25 +139,13 @@ class CameraFrontend final : public SlotObservationSource {
   long long frames_delivered_ = 0;
 };
 
-/// End-of-run frontend counters.
-struct FrontendRunStats {
-  long long blocks = 0;        ///< blocks delivered (frames / sample blocks)
-  long long observations = 0;  ///< slot observations across all blocks
-  // Decision-engine counters copied from the receiver after the final
-  // flush (see rx::StreamingStats engine_* fields).
-  long long engine_decisions = 0;
-  long long engine_fallback_decisions = 0;
-  long long engine_retrains = 0;
-  long long engine_train_fallbacks = 0;
-  double engine_tap_norm = 0.0;
-};
-
 /// Drives a frontend to completion into a streaming receiver: every
-/// block is pushed (ingest + incremental drain, the FrameSink cadence),
-/// then the receiver's end-of-stream flush runs. Decodes
-/// byte-identically to wiring the equivalent FrameSink directly.
-FrontendRunStats run_frontend(SlotObservationSource& source,
-                              rx::StreamingReceiver& receiver);
+/// block is pushed (ingest + incremental drain). The stream is left
+/// open, so the caller decides where it ends: LinkSimulator calls
+/// on_stream_end() after one capture, the adaptive run flushes only at
+/// epoch ends. For a camera frontend this decodes byte-identically to
+/// push_frame + poll on the same frames.
+void run_frontend(SlotObservationSource& source, rx::StreamingReceiver& receiver);
 
 /// Collects every observation the frontend yields and assembles the
 /// full slot timeline — the seam-side replacement for the experiment

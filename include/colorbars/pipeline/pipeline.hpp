@@ -1,11 +1,11 @@
 #pragma once
 
 // The streaming tx→camera→rx frame pipeline: a FrameSource renders
-// camera frames a bounded lookahead at a time into pooled buffers,
-// chainable FrameStages apply channel impairments (identity today; the
-// seam frame-drop / exposure-jitter robustness hooks plug into), and a
-// FrameSink consumes each frame as it would arrive from a real camera
-// callback (rx::StreamingReceiver is the canonical sink).
+// camera frames a bounded lookahead at a time into pooled buffers, and
+// its consumer pulls them in capture order, as a real camera callback
+// would deliver them, running each through the channel's FrameStages
+// with apply_stages (frontend::CameraFrontend for a single-LED link,
+// the scene simulator for a multi-luminaire one).
 //
 // Memory contract: at most `lookahead` frames plus the in-flight render
 // scratch are resident at any instant, independent of capture duration
@@ -93,7 +93,7 @@ class CameraTraceRenderer final : public FrameRenderer {
 /// A channel-impairment hook between camera and receiver. Stages may
 /// mutate the frame in place (exposure jitter, pixel corruption) or
 /// drop it entirely (return false) — a dropped frame never reaches the
-/// sink, like a frame the phone's camera pipeline skipped.
+/// receiver, like a frame the phone's camera pipeline skipped.
 class FrameStage {
  public:
   virtual ~FrameStage() = default;
@@ -101,20 +101,9 @@ class FrameStage {
   virtual bool process(camera::Frame& frame) = 0;
 };
 
-/// A stage that passes every frame through untouched.
-class IdentityStage final : public FrameStage {
- public:
-  bool process(camera::Frame&) override { return true; }
-};
-
-/// Consumes the pipeline's frames in capture order.
-class FrameSink {
- public:
-  virtual ~FrameSink() = default;
-  virtual void consume(const camera::Frame& frame) = 0;
-  /// Called once after the last frame (flush point for windowed sinks).
-  virtual void on_stream_end() {}
-};
+/// Runs `frame` through `stages` in order. Returns false as soon as a
+/// stage drops it; the later stages then never see the frame.
+[[nodiscard]] bool apply_stages(std::span<FrameStage* const> stages, camera::Frame& frame);
 
 /// Pulls frames from a FrameRenderer through a bounded-lookahead
 /// prefetch ring of pooled buffers. With the classic constructor the
@@ -174,19 +163,5 @@ class FrameSource {
   int next_serve_ = 0;
   long long refills_ = 0;
 };
-
-/// End-of-run pipeline counters.
-struct PipelineStats {
-  long long frames_streamed = 0;  ///< frames delivered to the sink
-  long long frames_dropped = 0;   ///< frames a stage rejected
-  long long refills = 0;          ///< prefetch batches rendered
-  BufferPoolStats pool;           ///< pool counters incl. peak residency
-};
-
-/// Drives the pipeline to completion: pulls every frame from `source`,
-/// runs it through `stages` in order, hands survivors to `sink`, then
-/// signals end of stream. Returns the run's counters.
-PipelineStats run_pipeline(FrameSource& source, std::span<FrameStage* const> stages,
-                           FrameSink& sink);
 
 }  // namespace colorbars::pipeline

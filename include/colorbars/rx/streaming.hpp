@@ -6,9 +6,8 @@
 // packets (§8, "Experiment Setup"). StreamingReceiver provides that
 // consumption model on top of the batch Receiver: push frames as the
 // camera delivers them, poll for packets that have become decodable.
-// It is also the canonical pipeline::FrameSink — wire it behind a
-// pipeline::FrameSource to stream a whole capture with O(lookahead)
-// frames resident.
+// A frontend::CameraFrontend feeds it the same capture as reduced slot
+// observations (push_observations), with O(lookahead) frames resident.
 //
 // The decode path is incremental and bounded: observations live in a
 // sliding SlotTimeline window, each poll() resumes the parse where the
@@ -35,23 +34,10 @@
 
 #include <span>
 
-#include "colorbars/pipeline/pipeline.hpp"
 #include "colorbars/rx/receiver.hpp"
 #include "colorbars/util/arena.hpp"
 
 namespace colorbars::rx {
-
-/// Sliding-window tuning for StreamingReceiver. Negative values derive
-/// the slot counts from the configured symbol and frame rates.
-struct StreamingConfig {
-  /// Slots held back from the stream head before a packet may be
-  /// finalized. Default: one camera frame period plus a small guard, so
-  /// a packet straddling the inter-frame gap has had its tail arrive.
-  long long holdback_slots = -1;
-  /// Already-parsed slots retained behind the resume point (debugging
-  /// headroom for gap-straddling packets). Default: one frame period.
-  long long tail_keep_slots = -1;
-};
 
 /// Per-stream decode-side counters (reset never; cumulative unless
 /// prefixed last_).
@@ -66,11 +52,6 @@ struct StreamingStats {
   long long last_drain_slots_scanned = 0;
   double last_drain_time_s = 0.0;
   long long epoch_switches = 0;      ///< begin_epoch reconfigurations
-  // Pipeline-side counters, populated by note_pipeline_stats when the
-  // receiver consumes a pipeline::FrameSource run (zero otherwise).
-  long long pool_frame_hits = 0;       ///< pooled frame buffers recycled
-  long long pool_frame_misses = 0;     ///< frame buffers freshly allocated
-  long long peak_resident_frames = 0;  ///< high-water mark of live frames
   // Capture-arena counters of this stream's scanline scratch (see
   // util::CaptureArena::Stats): every push_frame resets the arena once,
   // and a reuse hit means the frame's reduction ran without touching
@@ -90,9 +71,9 @@ struct StreamingStats {
   double engine_tap_norm = 0.0;            ///< current epoch's equalizer ‖w‖₂
 };
 
-class StreamingReceiver : public pipeline::FrameSink {
+class StreamingReceiver {
  public:
-  explicit StreamingReceiver(ReceiverConfig config, StreamingConfig stream = {});
+  explicit StreamingReceiver(ReceiverConfig config);
 
   [[nodiscard]] const CalibrationStore& store() const noexcept {
     return receiver_.store();
@@ -109,9 +90,9 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Frontend-seam ingest: accepts one block of already-reduced slot
   /// observations (a frontend::SlotObservationSource delivery — a
   /// camera frame's bands, a photodiode sample block's slots) and runs
-  /// the same incremental drain consume() performs. Pushing the blocks
-  /// a CameraFrontend yields decodes byte-identically to push_frame on
-  /// the frames themselves.
+  /// the incremental drain poll() runs. Pushing the blocks a
+  /// CameraFrontend yields decodes byte-identically to push_frame +
+  /// poll on the frames themselves.
   void push_observations(std::span<const SlotObservation> observations);
 
   /// Returns the packets that have become decodable since the last call
@@ -135,10 +116,9 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// begin_epoch call).
   [[nodiscard]] int epoch() const noexcept { return epoch_; }
 
-  // pipeline::FrameSink: consume() ingests and drains in one step (the
-  // reported packets accumulate in report()); on_stream_end() flushes.
-  void consume(const camera::Frame& frame) override;
-  void on_stream_end() override;
+  /// finish() for a caller that reads the packets from report(): the
+  /// end-of-stream flush, discarding the returned batch.
+  void on_stream_end();
 
   /// Everything decoded so far, in the same shape the batch
   /// Receiver::process returns: packet records, concatenated payload and
@@ -161,14 +141,14 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Decode-side counters (window size, eviction, per-drain cost).
   [[nodiscard]] const StreamingStats& stats() const noexcept { return stats_; }
 
-  /// Copies a pipeline run's pool/residency counters into stats().
-  void note_pipeline_stats(const pipeline::PipelineStats& pipeline) noexcept;
-
-  /// Effective head holdback in slots (configured, or one frame period
-  /// derived from symbol_rate_hz / frame_rate_hz plus a guard).
+  /// Slots held back from the stream head before a packet may be
+  /// finalized: one camera frame period (symbol_rate_hz /
+  /// frame_rate_hz) plus a small guard, so a packet straddling the
+  /// inter-frame gap has had its tail arrive.
   [[nodiscard]] long long holdback_slots() const noexcept;
 
-  /// Effective eviction tail in slots.
+  /// Already-parsed slots retained behind the resume point (headroom
+  /// for gap-straddling packets): one frame period.
   [[nodiscard]] long long tail_keep_slots() const noexcept;
 
  private:
@@ -201,7 +181,6 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Per-stream scratch arena for the frame reduction (scanline colors);
   /// reset once per pushed frame, surfaced through stats().
   util::CaptureArena arena_;
-  StreamingConfig stream_config_;
   /// Sliding window of observations. base_slot tracks eviction; valid
   /// once the first observation arrives.
   SlotTimeline window_;

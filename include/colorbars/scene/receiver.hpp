@@ -1,6 +1,6 @@
 #pragma once
 
-// The scene-level frame sink: an rx::RoiTracker localizes luminaires in
+// The scene-level receiver: an rx::RoiTracker localizes luminaires in
 // each streamed frame, and every live track's column slice feeds its
 // own rx::StreamingReceiver — one independent decode lane per
 // luminaire, fanned out per frame over the runtime thread pool. Lane
@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "colorbars/pipeline/pipeline.hpp"
 #include "colorbars/rx/roi_tracker.hpp"
 #include "colorbars/rx/streaming.hpp"
 
@@ -21,7 +20,6 @@ struct SceneReceiverConfig {
   /// Decode configuration shared by every lane (the scene's luminaires
   /// transmit with the same modulation/coding).
   rx::ReceiverConfig receiver{};
-  rx::StreamingConfig stream{};
   rx::RoiTrackerConfig tracker{};
   /// Columns shaved off each side of a tracked ROI before decoding —
   /// edge columns mix the luminaire with the dark surround through
@@ -52,16 +50,16 @@ struct SceneDecodeTotals {
   long long arena_peak_bytes = 0;
 };
 
-class SceneReceiver final : public pipeline::FrameSink {
+class SceneReceiver {
  public:
   explicit SceneReceiver(SceneReceiverConfig config);
 
   /// Tracks the frame, opens lanes for newly seen luminaires, and feeds
   /// every live lane its column slice (in parallel — lanes are
   /// independent).
-  void consume(const camera::Frame& frame) override;
+  void consume(const camera::Frame& frame);
   /// Flushes every lane with end-of-stream semantics.
-  void on_stream_end() override;
+  void on_stream_end();
 
   /// All lanes ever opened, in track-ID order (lanes whose track
   /// retired keep their decoded packets).

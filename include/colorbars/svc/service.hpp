@@ -44,18 +44,12 @@ struct ServiceConfig {
   /// Server-side liveness window: a worker whose stream is silent this
   /// long (no result, no heartbeat) is presumed dead and killed.
   double liveness_timeout_s = 10.0;
-  /// Requeues a job survives before the sweep fails (crash loops must
-  /// not spin forever).
-  int max_retries = 2;
   /// Base respawn delay after a worker death, seconds; doubles per
   /// consecutive death of the same worker slot (exponential backoff).
   double respawn_backoff_s = 0.05;
   /// Unix-domain socket path; empty derives one under TMPDIR from the
   /// server pid. Must fit sockaddr_un (~100 bytes).
   std::string socket_path;
-  /// Install a SIGTERM handler for the run's duration that triggers a
-  /// graceful drain (previous handler restored afterwards).
-  bool handle_sigterm = true;
 };
 
 /// One worker slot's scheduler-side counters.

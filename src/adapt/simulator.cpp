@@ -3,10 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "colorbars/camera/camera.hpp"
-#include "colorbars/channel/stages.hpp"
+#include "colorbars/frontend/frontend.hpp"
 #include "colorbars/led/tri_led.hpp"
-#include "colorbars/pipeline/pipeline.hpp"
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/tx/transmitter.hpp"
 #include "colorbars/util/rng.hpp"
@@ -74,21 +72,6 @@ constexpr std::uint64_t kCameraStream = 0xada0001;
 constexpr std::uint64_t kPayloadStream = 0xada0002;
 constexpr std::uint64_t kFeedbackStream = 0xada0003;
 
-/// Forwards frames into the persistent StreamingReceiver but swallows
-/// run_pipeline's per-capture end-of-stream flush: one control interval
-/// is not the end of the epoch, and a final-flush drain mid-epoch would
-/// report held-back packets with end-of-stream semantics. The simulator
-/// flushes explicitly at epoch boundaries and at the end of the run.
-class EpochSink final : public pipeline::FrameSink {
- public:
-  explicit EpochSink(rx::StreamingReceiver& receiver) : receiver_(receiver) {}
-  void consume(const camera::Frame& frame) override { receiver_.consume(frame); }
-  void on_stream_end() override {}
-
- private:
-  rx::StreamingReceiver& receiver_;
-};
-
 /// One interval's ground truth, waiting for its packets to decode (the
 /// holdback means an interval's tail packets decode one interval late,
 /// and an epoch's last packets only at the epoch flush).
@@ -147,7 +130,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
       config_.link_at(ladder[static_cast<std::size_t>(applied)],
                       trajectory_.segments.front().channel)
           .receiver_config());
-  pipeline::BufferPool pool;
 
   AdaptiveRunResult result;
   std::vector<PendingInterval> pending;
@@ -196,7 +178,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
   long long sequence = 0;
   int desired = applied;
   long long interval = 0;
-  pipeline::PipelineStats last_pipeline_stats;
 
   while (elapsed < total_duration) {
     // 1. Control-plane delivery: the transmitter applies the newest
@@ -236,29 +217,26 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
         core::draw_burst_payload(link, config_.control_interval_s, payload_rng);
     const tx::Transmission transmission = transmitter.transmit(payload);
 
-    // 3. Capture the burst and stream it into the persistent receiver,
-    // re-stamped onto the epoch's continuous slot grid. Two frame
-    // periods of dead air separate intervals — the tx's reconfig /
-    // scheduling turnaround — so one interval's frame overhang can
-    // never collide with the next interval's slots.
-    const std::uint64_t camera_seed =
-        runtime::derive_stream_seed(camera_base, static_cast<std::uint64_t>(interval));
-    camera::RollingShutterCamera camera(
-        config_.profile,
-        channel::OpticalChannel(
-            spec, runtime::derive_stream_seed(camera_seed, frontend::kOpticalSeedStream)),
-        camera_seed);
-    const channel::StageChain stages(
-        spec, runtime::derive_stream_seed(camera_seed, frontend::kFrameStageSeedStream));
+    // 3. Capture the burst through the camera frontend and push it into
+    // the persistent receiver, re-stamped onto the epoch's continuous
+    // slot grid. Two frame periods of dead air separate intervals — the
+    // tx's reconfig / scheduling turnaround — so one interval's frame
+    // overhang can never collide with the next interval's slots.
     const long long frame_period_slots =
         std::llround(rung.symbol_rate_hz / config_.profile.fps);
     const double symbol_duration_s = 1.0 / rung.symbol_rate_hz;
-    pipeline::SourceConfig source_config;
-    source_config.lookahead = config_.pipeline_lookahead;
-    source_config.time_shift_s = static_cast<double>(epoch_slot_base) * symbol_duration_s;
-    source_config.frame_index_base = receiver.frames_ingested();
-    pipeline::FrameSource source(camera, transmission.trace, pool, source_config);
-    EpochSink sink(receiver);
+    frontend::CameraFrontendConfig capture_config;
+    capture_config.profile = link.profile;
+    capture_config.channel = link.channel;
+    capture_config.symbol_rate_hz = link.symbol_rate_hz;
+    capture_config.extractor = link.receiver_config().extractor;
+    capture_config.source.lookahead = link.pipeline_lookahead;
+    capture_config.source.time_shift_s =
+        static_cast<double>(epoch_slot_base) * symbol_duration_s;
+    capture_config.source.frame_index_base = receiver.frames_ingested();
+    frontend::CameraFrontend capture(
+        capture_config, transmission.trace,
+        runtime::derive_stream_seed(camera_base, static_cast<std::uint64_t>(interval)));
 
     IntervalRecord record;
     record.interval = interval;
@@ -279,7 +257,10 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
     truth.messages = transmission.packet_messages;
     pending.push_back(std::move(truth));
 
-    last_pipeline_stats = pipeline::run_pipeline(source, stages.stages(), sink);
+    // The stream stays open: one control interval is not the end of
+    // the epoch, so held-back packets wait for the next interval or the
+    // epoch flush.
+    frontend::run_frontend(capture, receiver);
     attribute();
 
     // 4. Harvest the interval's quality sample from the decode deltas
@@ -293,8 +274,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
         sample.packets_ok + (report.data_packets_failed - prev_failed);
     sample.margin_sum = report.decision_margin_sum - prev_margin_sum;
     sample.margin_count = report.decision_margin_count - prev_margin_count;
-    sample.frames_streamed = last_pipeline_stats.frames_streamed;
-    sample.frames_dropped = last_pipeline_stats.frames_dropped;
+    sample.frames_streamed = capture.frames_delivered();
+    sample.frames_dropped = capture.frames_dropped();
     // Header losses / corrections ride the per-interval attribution,
     // which already classified the records decoded so far.
     {
@@ -334,9 +315,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
   }
 
   // Final epoch flush: decode and attribute everything still held back.
-  (void)receiver.finish();
+  receiver.on_stream_end();
   attribute();
-  receiver.note_pipeline_stats(last_pipeline_stats);
 
   result.total_time_s = elapsed;
   for (const IntervalRecord& record : result.intervals) {

@@ -10,17 +10,26 @@
 
 namespace colorbars::baseline {
 
+/// Most half-periods one dwell may hold, 2 * frequency * dwell_s. Any
+/// bound far below 2^52 makes every half-period a visible step off the
+/// dwell left; this one also caps the trace at 2^16 segments per symbol.
+constexpr double kMaxHalfPeriodsPerDwell = 65536.0;
+
 void FskConfig::validate() const {
   if (frequencies.empty()) {
     throw std::invalid_argument("FskConfig: the frequency alphabet is empty");
+  }
+  if (!std::isfinite(dwell_s) || !(dwell_s > 0.0)) {
+    throw std::invalid_argument("FskConfig: dwell_s must be finite and positive");
   }
   for (const double frequency : frequencies) {
     if (!std::isfinite(frequency) || !(frequency > 0.0)) {
       throw std::invalid_argument("FskConfig: every frequency must be finite and positive");
     }
-  }
-  if (!std::isfinite(dwell_s) || !(dwell_s > 0.0)) {
-    throw std::invalid_argument("FskConfig: dwell_s must be finite and positive");
+    if (!(2.0 * frequency * dwell_s <= kMaxHalfPeriodsPerDwell)) {
+      throw std::invalid_argument(
+          "FskConfig: a frequency puts more than 2^16 half-periods in one dwell");
+    }
   }
 }
 

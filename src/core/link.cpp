@@ -158,8 +158,8 @@ std::unique_ptr<frontend::SlotObservationSource> make_frontend(
   camera_config.channel = config.channel;
   camera_config.symbol_rate_hz = config.symbol_rate_hz;
   camera_config.extractor = config.receiver_config().extractor;
-  camera_config.pipeline_lookahead = config.pipeline_lookahead;
-  camera_config.start_offset_s = start_offset_s;
+  camera_config.source.lookahead = config.pipeline_lookahead;
+  camera_config.source.start_offset_s = start_offset_s;
   return std::make_unique<frontend::CameraFrontend>(camera_config, trace, capture_seed);
 }
 
@@ -187,7 +187,8 @@ LinkRunResult LinkSimulator::run_payload(std::span<const std::uint8_t> payload) 
   const std::unique_ptr<frontend::SlotObservationSource> source =
       make_frontend(config_, transmission.trace, start_offset, capture_seed);
   rx::StreamingReceiver receiver(config_.receiver_config());
-  (void)frontend::run_frontend(*source, receiver);
+  frontend::run_frontend(*source, receiver);
+  receiver.on_stream_end();
 
   LinkRunResult result;
   result.report = receiver.take_report();

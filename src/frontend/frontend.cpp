@@ -4,16 +4,6 @@
 
 namespace colorbars::frontend {
 
-namespace {
-
-pipeline::SourceConfig source_config_of(const CameraFrontendConfig& config) {
-  pipeline::SourceConfig source;
-  source.lookahead = config.pipeline_lookahead;
-  return source;
-}
-
-}  // namespace
-
 CameraFrontend::CameraFrontend(const CameraFrontendConfig& config,
                                const led::EmissionTrace& trace,
                                std::uint64_t capture_seed)
@@ -26,23 +16,15 @@ CameraFrontend::CameraFrontend(const CameraFrontendConfig& config,
               capture_seed),
       stages_(config.channel,
               runtime::derive_stream_seed(capture_seed, kFrameStageSeedStream)),
-      renderer_(camera_, trace, config.start_offset_s),
-      source_(renderer_, pool_, source_config_of(config)) {}
+      renderer_(camera_, trace, config.source.start_offset_s),
+      source_(renderer_, pool_, config.source) {}
 
 bool CameraFrontend::next_block(std::vector<rx::SlotObservation>& out) {
   out.clear();
   // Pull until a frame survives the stage chain — a dropped frame never
-  // reaches the reduction, exactly as run_pipeline short-circuits a
-  // rejected frame past the sink.
+  // reaches the reduction.
   while (camera::Frame* frame = source_.next()) {
-    bool keep = true;
-    for (pipeline::FrameStage* stage : stages_.stages()) {
-      if (!stage->process(*frame)) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) {
+    if (!pipeline::apply_stages(stages_.stages(), *frame)) {
       ++frames_dropped_;
       continue;
     }
@@ -54,25 +36,9 @@ bool CameraFrontend::next_block(std::vector<rx::SlotObservation>& out) {
   return false;
 }
 
-FrontendRunStats run_frontend(SlotObservationSource& source,
-                              rx::StreamingReceiver& receiver) {
-  FrontendRunStats stats;
+void run_frontend(SlotObservationSource& source, rx::StreamingReceiver& receiver) {
   std::vector<rx::SlotObservation> block;
-  while (source.next_block(block)) {
-    receiver.push_observations(block);
-    ++stats.blocks;
-    stats.observations += static_cast<long long>(block.size());
-  }
-  receiver.on_stream_end();
-  // Surface the decision-engine counters alongside the delivery counts
-  // (the final flush has refreshed them).
-  const rx::StreamingStats& rx_stats = receiver.stats();
-  stats.engine_decisions = rx_stats.engine_decisions;
-  stats.engine_fallback_decisions = rx_stats.engine_fallback_decisions;
-  stats.engine_retrains = rx_stats.engine_retrains;
-  stats.engine_train_fallbacks = rx_stats.engine_train_fallbacks;
-  stats.engine_tap_norm = rx_stats.engine_tap_norm;
-  return stats;
+  while (source.next_block(block)) receiver.push_observations(block);
 }
 
 rx::SlotTimeline collect_timeline(SlotObservationSource& source) {

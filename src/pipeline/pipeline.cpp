@@ -64,28 +64,11 @@ camera::Frame* FrameSource::next() {
   return frame;
 }
 
-PipelineStats run_pipeline(FrameSource& source, std::span<FrameStage* const> stages,
-                           FrameSink& sink) {
-  PipelineStats stats;
-  while (camera::Frame* frame = source.next()) {
-    bool keep = true;
-    for (FrameStage* stage : stages) {
-      if (!stage->process(*frame)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) {
-      sink.consume(*frame);
-      ++stats.frames_streamed;
-    } else {
-      ++stats.frames_dropped;
-    }
+bool apply_stages(std::span<FrameStage* const> stages, camera::Frame& frame) {
+  for (FrameStage* stage : stages) {
+    if (!stage->process(frame)) return false;
   }
-  sink.on_stream_end();
-  stats.refills = source.refills();
-  stats.pool = source.pool().stats();
-  return stats;
+  return true;
 }
 
 }  // namespace colorbars::pipeline

@@ -6,8 +6,8 @@
 
 namespace colorbars::rx {
 
-StreamingReceiver::StreamingReceiver(ReceiverConfig config, StreamingConfig stream)
-    : receiver_(std::move(config)), stream_config_(stream) {}
+StreamingReceiver::StreamingReceiver(ReceiverConfig config)
+    : receiver_(std::move(config)) {}
 
 long long StreamingReceiver::frame_period_slots() const noexcept {
   const ReceiverConfig& config = receiver_.config();
@@ -16,12 +16,10 @@ long long StreamingReceiver::frame_period_slots() const noexcept {
 }
 
 long long StreamingReceiver::holdback_slots() const noexcept {
-  if (stream_config_.holdback_slots >= 0) return stream_config_.holdback_slots;
   return frame_period_slots() + 4;
 }
 
 long long StreamingReceiver::tail_keep_slots() const noexcept {
-  if (stream_config_.tail_keep_slots >= 0) return stream_config_.tail_keep_slots;
   return frame_period_slots();
 }
 
@@ -224,18 +222,6 @@ void StreamingReceiver::begin_epoch(ReceiverConfig config) {
   stats_.window_slots = 0;
 }
 
-void StreamingReceiver::consume(const camera::Frame& frame) {
-  push_frame(frame);
-  (void)drain(/*final_flush=*/false);
-}
-
 void StreamingReceiver::on_stream_end() { (void)drain(/*final_flush=*/true); }
-
-void StreamingReceiver::note_pipeline_stats(
-    const pipeline::PipelineStats& pipeline) noexcept {
-  stats_.pool_frame_hits = pipeline.pool.frame_hits;
-  stats_.pool_frame_misses = pipeline.pool.frame_misses;
-  stats_.peak_resident_frames = pipeline.pool.peak_outstanding_frames;
-}
 
 }  // namespace colorbars::rx

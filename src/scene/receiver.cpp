@@ -24,7 +24,7 @@ void SceneReceiver::consume(const camera::Frame& frame) {
       lane.roi_id = track.id;
       lane.region = track.region;
       lane.receiver =
-          std::make_unique<rx::StreamingReceiver>(config_.receiver, config_.stream);
+          std::make_unique<rx::StreamingReceiver>(config_.receiver);
       lanes_.push_back(std::move(lane));
     } else {
       it->region = track.region;

@@ -83,7 +83,10 @@ SceneRunResult SceneSimulator::run_goodput(double duration_s) {
   source_config.lookahead = config_.link.pipeline_lookahead;
   SceneFrameRenderer renderer(camera, std::move(emitters), scene_duration, start_offset);
   pipeline::FrameSource source(renderer, pool, source_config);
-  (void)pipeline::run_pipeline(source, stages.stages(), receiver);
+  while (camera::Frame* frame = source.next()) {
+    if (pipeline::apply_stages(stages.stages(), *frame)) receiver.consume(*frame);
+  }
+  receiver.on_stream_end();
 
   SceneRunResult result;
   result.lanes_opened = static_cast<int>(receiver.lanes().size());

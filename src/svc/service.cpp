@@ -240,26 +240,29 @@ volatile std::sig_atomic_t g_drain_requested = 0;
 
 void drain_handler(int) { g_drain_requested = 1; }
 
-/// Installs the drain handler for one run, restoring the previous
-/// disposition on scope exit.
+/// Requeues a job survives before the sweep fails (crash loops must
+/// not spin forever).
+constexpr int kMaxJobRetries = 2;
+
+/// Installs the drain handler for one scheduler run, restoring the
+/// previous disposition on scope exit.
 class ScopedSigterm {
  public:
-  explicit ScopedSigterm(bool enable) : enabled_(enable) {
-    if (!enabled_) return;
+  ScopedSigterm() {
     g_drain_requested = 0;
     struct sigaction action{};
     action.sa_handler = drain_handler;
     sigemptyset(&action.sa_mask);
-    enabled_ = ::sigaction(SIGTERM, &action, &previous_) == 0;
+    installed_ = ::sigaction(SIGTERM, &action, &previous_) == 0;
   }
   ~ScopedSigterm() {
-    if (enabled_) ::sigaction(SIGTERM, &previous_, nullptr);
+    if (installed_) ::sigaction(SIGTERM, &previous_, nullptr);
   }
   ScopedSigterm(const ScopedSigterm&) = delete;
   ScopedSigterm& operator=(const ScopedSigterm&) = delete;
 
  private:
-  bool enabled_;
+  bool installed_;
   struct sigaction previous_{};
 };
 
@@ -353,7 +356,7 @@ class Scheduler {
 
   std::vector<JobResultMessage> run(SvcStats* stats_out) {
     const double start_s = now_s();
-    const ScopedSigterm sigterm(config_.handle_sigterm);
+    const ScopedSigterm sigterm;
     results_.assign(jobs_.size(), JobResultMessage{});
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       queue_.push_back(static_cast<long long>(i));
@@ -620,7 +623,7 @@ class Scheduler {
       ++job.retries;
       ++slot.stats.retries;
       ++stats_.retries;
-      if (job.retries > config_.max_retries) {
+      if (job.retries > kMaxJobRetries) {
         slot.pid = -1;
         slot.fd = -1;
         slot.current_job = -1;

@@ -126,6 +126,27 @@ TEST(Fsk, InvalidConfigIsRejected) {
   EXPECT_NO_THROW(FskConfig{}.validate());
 }
 
+TEST(Fsk, TooManyHalfPeriodsPerDwellIsRejected) {
+  // At 1e300 Hz the half-period is below an ulp of the dwell left, so
+  // fsk_modulate's loop never ended; at 1e6 Hz one 1/30 s dwell holds
+  // 66,667 half-periods, and a 1e9 s dwell holds 1.2e12 at 600 Hz.
+  std::vector<FskConfig> configs(3);
+  configs[0].frequencies[1] = 1e300;
+  configs[1].frequencies[1] = 1e6;
+  configs[2].dwell_s = 1e9;
+  for (const FskConfig& config : configs) {
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+    // No symbols: were the bound gone, these calls would return rather
+    // than append segments without end.
+    EXPECT_THROW((void)fsk_modulate({}, config), std::invalid_argument);
+    EXPECT_THROW((void)fsk_run(config, camera::ideal_profile(), {}, 0, 108),
+                 std::invalid_argument);
+  }
+  FskConfig fast;
+  fast.frequencies = {9e5};  // 60,000 half-periods per 1/30 s dwell
+  EXPECT_NO_THROW(fast.validate());
+}
+
 TEST(Fsk, FrameWithoutPixelsDecodesAsNoSymbol) {
   camera::Frame empty;
   empty.row_time_s = 1e-5;

@@ -180,8 +180,8 @@ TEST(Determinism, StreamedPipelineMatchesBufferedCaptureAcrossThreadCounts) {
   const tx::Transmission transmission = transmitter.transmit(payload);
   const double start_offset = 0.002;
 
-  // Streamed path: FrameSource prefetch ring -> StreamingReceiver sink,
-  // O(lookahead) frames resident.
+  // Streamed path: FrameSource prefetch ring -> StreamingReceiver, frame
+  // by frame, O(lookahead) frames resident.
   auto streamed = [&] {
     camera::RollingShutterCamera camera(link.profile, channel::OpticalChannel(link.channel), 0xfee1);
     pipeline::BufferPool pool;
@@ -189,9 +189,13 @@ TEST(Determinism, StreamedPipelineMatchesBufferedCaptureAcrossThreadCounts) {
     config.lookahead = 5;
     config.start_offset_s = start_offset;
     pipeline::FrameSource source(camera, transmission.trace, pool, config);
-    rx::StreamingReceiver sink(link.receiver_config());
-    (void)pipeline::run_pipeline(source, {}, sink);
-    return flatten_report(sink.report());
+    rx::StreamingReceiver receiver(link.receiver_config());
+    while (const camera::Frame* frame = source.next()) {
+      receiver.push_frame(*frame);
+      (void)receiver.poll();
+    }
+    receiver.on_stream_end();
+    return flatten_report(receiver.report());
   };
   // Buffered path: the retained capture_video + batch Receiver::process.
   auto buffered = [&] {

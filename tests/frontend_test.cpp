@@ -87,15 +87,17 @@ TEST(Frontend, CameraFrontendDecodesByteIdenticallyToDirectCapture) {
   config.channel = link.channel;
   config.symbol_rate_hz = link.symbol_rate_hz;
   config.extractor = link.receiver_config().extractor;
-  config.start_offset_s = start_offset;
+  config.source.start_offset_s = start_offset;
   frontend::CameraFrontend source(config, transmission.trace, capture_seed);
   rx::StreamingReceiver receiver(link.receiver_config());
-  const frontend::FrontendRunStats stats = frontend::run_frontend(source, receiver);
+  frontend::run_frontend(source, receiver);
+  receiver.on_stream_end();
 
   EXPECT_EQ(flatten_report(receiver.report()), reference);
-  EXPECT_EQ(stats.blocks, source.frames_delivered());
-  EXPECT_EQ(stats.blocks, static_cast<long long>(frames.size()));
-  EXPECT_GT(stats.observations, 0);
+  // One block per delivered frame.
+  EXPECT_EQ(receiver.frames_ingested(), source.frames_delivered());
+  EXPECT_EQ(source.frames_delivered(), static_cast<long long>(frames.size()));
+  EXPECT_GT(receiver.stats().slots_ingested, 0);
   EXPECT_EQ(source.frames_dropped(), 0);  // identity channel drops nothing
 }
 
@@ -110,9 +112,10 @@ TEST(Frontend, CollectTimelineMatchesStreamedObservationCount) {
   config.symbol_rate_hz = link.symbol_rate_hz;
   config.extractor = link.receiver_config().extractor;
 
-  frontend::CameraFrontend for_stats(config, transmission.trace, 0xabc);
+  frontend::CameraFrontend streamed(config, transmission.trace, 0xabc);
   rx::StreamingReceiver receiver(link.receiver_config());
-  const frontend::FrontendRunStats stats = frontend::run_frontend(for_stats, receiver);
+  frontend::run_frontend(streamed, receiver);
+  receiver.on_stream_end();
 
   frontend::CameraFrontend for_timeline(config, transmission.trace, 0xabc);
   const rx::SlotTimeline timeline = frontend::collect_timeline(for_timeline);
@@ -120,7 +123,7 @@ TEST(Frontend, CollectTimelineMatchesStreamedObservationCount) {
   // Distinct observed slots can be fewer than raw observations (two
   // bands of adjacent frames may land in one slot), never more.
   EXPECT_GT(observed, 0);
-  EXPECT_LE(observed, stats.observations);
+  EXPECT_LE(observed, receiver.stats().slots_ingested);
   EXPECT_EQ(receiver.report().slots_observed, observed);
 }
 

@@ -1,8 +1,8 @@
 // The streaming frame pipeline's contracts: pooled buffers are recycled
 // (bounded residency independent of capture duration), the streamed
 // frame sequence is byte-identical to the materialized capture_video,
-// stages can drop frames, and the shared image/exposure validation
-// rejects degenerate shapes.
+// stages can drop frames before the receiver, and the shared
+// image/exposure validation rejects degenerate shapes.
 
 #include <gtest/gtest.h>
 
@@ -29,29 +29,6 @@ led::EmissionTrace steady_trace(double duration_s) {
   trace.append(duration_s, {0.6, 0.4, 0.2});
   return trace;
 }
-
-/// Sink that records how many frames arrived and the largest number of
-/// pool-outstanding frames observed while it held a frame.
-class CountingSink final : public pipeline::FrameSink {
- public:
-  explicit CountingSink(const pipeline::BufferPool& pool) : pool_(pool) {}
-
-  void consume(const camera::Frame& frame) override {
-    ++frames_;
-    last_index_ = frame.frame_index;
-    peak_outstanding_seen_ =
-        std::max(peak_outstanding_seen_, pool_.stats().outstanding_frames);
-  }
-  void on_stream_end() override { ++stream_ends_; }
-
-  int frames_ = 0;
-  int last_index_ = -1;
-  int stream_ends_ = 0;
-  long long peak_outstanding_seen_ = 0;
-
- private:
-  const pipeline::BufferPool& pool_;
-};
 
 TEST(BufferPool, CountsHitsMissesAndPeakResidency) {
   pipeline::BufferPool pool;
@@ -127,13 +104,16 @@ TEST(Pipeline, PeakResidentFramesIsBoundedByLookaheadNotDuration) {
     // The source borrows the trace, so it must outlive the run.
     const led::EmissionTrace trace = steady_trace(duration_s);
     pipeline::FrameSource source(camera, trace, pool, config);
-    CountingSink sink(pool);
-    const pipeline::PipelineStats stats = pipeline::run_pipeline(source, {}, sink);
-    EXPECT_EQ(stats.frames_streamed, sink.frames_);
-    EXPECT_EQ(sink.stream_ends_, 1);
-    // Every frame the sink saw, at most one lookahead batch was live.
-    EXPECT_LE(sink.peak_outstanding_seen_, lookahead);
-    return stats.pool.peak_outstanding_frames;
+    long long peak_outstanding_seen = 0;
+    while (source.next() != nullptr) {
+      peak_outstanding_seen =
+          std::max(peak_outstanding_seen, pool.stats().outstanding_frames);
+    }
+    EXPECT_EQ(source.frames_emitted(), source.total_frames());
+    // Whenever the consumer held a frame, at most one lookahead batch
+    // was live.
+    EXPECT_LE(peak_outstanding_seen, lookahead);
+    return pool.stats().peak_outstanding_frames;
   };
 
   const long long peak_30s = peak_for(30.0);
@@ -161,13 +141,17 @@ TEST(Pipeline, SourceDrainsEveryPlannedFrameAcrossRefills) {
   EXPECT_EQ(source.refills(), (total + config.lookahead - 1) / config.lookahead);
 }
 
-/// Drops every `n`-th frame.
+/// Drops every `n`-th frame (n = 0 drops none) and counts the frames it
+/// saw.
 class DropEveryNth final : public pipeline::FrameStage {
  public:
   explicit DropEveryNth(int n) : n_(n) {}
   bool process(camera::Frame& frame) override {
-    return (frame.frame_index % n_) != 0;
+    ++seen_;
+    return n_ == 0 || (frame.frame_index % n_) != 0;
   }
+
+  int seen_ = 0;
 
  private:
   int n_;
@@ -178,16 +162,29 @@ TEST(Pipeline, StagesCanDropFramesBeforeTheSink) {
   pipeline::BufferPool pool;
   const led::EmissionTrace trace = steady_trace(1.0);
   pipeline::FrameSource source(camera, trace, pool, {});
-  CountingSink sink(pool);
+  DropEveryNth keep_all(0);
   DropEveryNth drop(3);
-  pipeline::IdentityStage identity;
-  pipeline::FrameStage* stages[] = {&identity, &drop};
-  const pipeline::PipelineStats stats = pipeline::run_pipeline(source, stages, sink);
+  DropEveryNth after(0);
+  pipeline::FrameStage* stages[] = {&keep_all, &drop, &after};
+  int kept = 0;
+  int dropped = 0;
+  while (camera::Frame* frame = source.next()) {
+    if (pipeline::apply_stages(stages, *frame)) {
+      ++kept;
+    } else {
+      ++dropped;
+    }
+  }
 
-  EXPECT_GT(stats.frames_dropped, 0);
-  EXPECT_EQ(stats.frames_streamed, sink.frames_);
-  EXPECT_EQ(stats.frames_streamed + stats.frames_dropped,
-            static_cast<long long>(source.total_frames()));
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(kept + dropped, source.total_frames());
+  EXPECT_EQ(keep_all.seen_, source.total_frames());
+  // A dropped frame never reaches the stages after the one that dropped
+  // it.
+  EXPECT_EQ(after.seen_, kept);
+  // No stages keep every frame.
+  camera::Frame frame;
+  EXPECT_TRUE(pipeline::apply_stages({}, frame));
 }
 
 TEST(ImageValidation, RejectsNonPositiveDimensionsEverywhere) {

@@ -145,11 +145,6 @@ TEST(StreamingReceiver, HoldbackTracksConfiguredFrameRate) {
     EXPECT_EQ(streaming.holdback_slots(), period + 4) << "fps " << fps;
     EXPECT_EQ(streaming.tail_keep_slots(), period) << "fps " << fps;
   }
-  // Explicit configuration overrides the derivation.
-  StreamingReceiver streaming(ReceiverConfig{},
-                              {.holdback_slots = 99, .tail_keep_slots = 11});
-  EXPECT_EQ(streaming.holdback_slots(), 99);
-  EXPECT_EQ(streaming.tail_keep_slots(), 11);
 }
 
 TEST(StreamingReceiver, MatchesBatchAtTwentyFourFps) {
