@@ -85,6 +85,11 @@ struct ControllerConfig {
   /// (success below collapse_success) always switches immediately: a
   /// dead link loses more per interval than any recalibration costs.
   double switch_cost_intervals = 0.0;
+
+  /// Throws std::invalid_argument unless 1 <= up_confirm_intervals <=
+  /// max_up_confirm_intervals and switch_cost_intervals is finite and
+  /// non-negative.
+  void validate() const;
 };
 
 /// The rx-side rate-adaptation policy. decide() maps the monitor's
@@ -95,7 +100,8 @@ class RateController {
  public:
   /// Throws std::invalid_argument on an invalid ladder (see
   /// validate_ladder; max_rate_hz is the LED limit the caller enforces
-  /// separately) or an out-of-range initial rung.
+  /// separately), an out-of-range initial rung or an invalid config
+  /// (ControllerConfig::validate).
   RateController(std::vector<Rung> ladder, ControllerConfig config, int initial_rung);
 
   [[nodiscard]] const std::vector<Rung>& ladder() const noexcept { return ladder_; }

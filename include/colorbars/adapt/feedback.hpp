@@ -34,6 +34,10 @@ struct FeedbackConfig {
   int delay_intervals = 1;
   /// Probability a command is lost outright, in [0, 1].
   double loss_probability = 0.0;
+
+  /// Throws std::invalid_argument on a negative delay or a loss
+  /// probability outside [0, 1].
+  void validate() const;
 };
 
 /// Delayed, lossy, in-order command channel. Deterministic: loss draws
@@ -42,8 +46,7 @@ struct FeedbackConfig {
 /// thread count.
 class FeedbackLink {
  public:
-  /// Throws std::invalid_argument on a negative delay or a loss
-  /// probability outside [0, 1].
+  /// Throws as FeedbackConfig::validate does.
   explicit FeedbackLink(FeedbackConfig config, std::uint64_t seed = 0xfeedbacc);
 
   /// Queues `command` at time `now` (a control-interval index). Returns

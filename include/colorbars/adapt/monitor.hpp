@@ -52,6 +52,9 @@ struct LinkQualitySample {
 struct MonitorConfig {
   /// EWMA weight of the newest sample, in (0, 1]. 1 disables smoothing.
   double alpha = 0.5;
+
+  /// Throws std::invalid_argument unless alpha is in (0, 1].
+  void validate() const;
 };
 
 /// The smoothed estimate. All rates are EWMA over interval samples.
@@ -82,7 +85,7 @@ struct LinkQuality {
 /// measured under the old rung says nothing about the new one.
 class LinkMonitor {
  public:
-  /// Throws std::invalid_argument unless alpha is in (0, 1].
+  /// Throws as MonitorConfig::validate does.
   explicit LinkMonitor(MonitorConfig config = {});
 
   void observe(const LinkQualitySample& sample);

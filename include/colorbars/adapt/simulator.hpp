@@ -56,6 +56,10 @@ struct Trajectory {
   [[nodiscard]] const TrajectorySegment& at(double t) const noexcept {
     return segments[static_cast<std::size_t>(segment_index_at(t))];
   }
+
+  /// Throws std::invalid_argument unless there is at least one segment
+  /// and every segment has a positive duration and a valid channel.
+  void validate() const;
 };
 
 /// The examples' walk-away script: the receiver starts close to the
@@ -105,6 +109,17 @@ struct AdaptiveLinkConfig {
   [[nodiscard]] int resolved_initial_rung() const noexcept {
     return initial_rung >= 0 ? initial_rung : static_cast<int>(ladder.size()) - 1;
   }
+
+  /// Throws std::invalid_argument unless a simulator can run this
+  /// config: a ladder within the tri-LED's rate limit (validate_ladder),
+  /// a resolved initial rung inside it, a positive control interval, a
+  /// link every rung's interval can run (link_at(...).validate(): the
+  /// profile, illumination ratio and calibration rate; core::slots_in
+  /// for the interval), a finite non-negative recalibration cost, and
+  /// valid monitor, controller and feedback configs.
+  /// AdaptiveLinkSimulator's constructor and the svc wire decoder both
+  /// run it.
+  void validate() const;
 };
 
 /// Everything that happened in one control interval.
@@ -145,7 +160,6 @@ struct AdaptiveRunResult {
   long long commands_sent = 0;
   long long commands_lost = 0;
   int final_rung = 0;
-  rx::StreamingStats stream_stats{};
 
   [[nodiscard]] double goodput_bps() const noexcept {
     return total_time_s > 0.0
@@ -157,9 +171,8 @@ struct AdaptiveRunResult {
 /// Drives one closed-loop run over a trajectory.
 class AdaptiveLinkSimulator {
  public:
-  /// Validates the ladder (LED rate limit included), the initial rung
-  /// and every segment's channel spec; throws std::invalid_argument on
-  /// violation, mirroring core::LinkSimulator.
+  /// Runs config.validate() and trajectory.validate(), which throw
+  /// std::invalid_argument on violation, mirroring core::LinkSimulator.
   AdaptiveLinkSimulator(AdaptiveLinkConfig config, Trajectory trajectory);
 
   [[nodiscard]] const AdaptiveLinkConfig& config() const noexcept { return config_; }

@@ -62,8 +62,7 @@ struct RenderScratch {
   /// row window). Reset at the start of every frame; after the first
   /// frame every row comes back from the same 64-byte-aligned block, so
   /// the SIMD kernels stay on the aligned fast path and nothing
-  /// reallocates. arena.stats() exposes reuse/peak counters the
-  /// streaming layer aggregates.
+  /// reallocates. arena.stats() exposes its reuse/peak counters.
   util::CaptureArena arena;
 };
 

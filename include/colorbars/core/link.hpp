@@ -84,29 +84,13 @@ struct LinkConfig {
   void validate() const;
 
   /// RS code for this link, derived from the profile's loss ratio per
-  /// the paper's §5 formulas. Memoized on the derivation inputs, so the
-  /// transmitter/receiver config builders (and any callers between
-  /// field edits) share one computation instead of re-deriving.
+  /// the paper's §5 formulas (derive_link_code).
   [[nodiscard]] rs::CodeParameters code() const;
 
   /// Builds matching transmitter / receiver configurations, deriving the
   /// RS code from the profile's loss ratio per the paper's §5 formulas.
   [[nodiscard]] tx::TransmitterConfig transmitter_config() const;
   [[nodiscard]] rx::ReceiverConfig receiver_config() const;
-
- private:
-  /// code() memo, keyed on the derivation inputs so field edits after a
-  /// first call cannot serve a stale code.
-  struct CodeMemo {
-    bool valid = false;
-    csk::CskOrder order{};
-    double symbol_rate_hz = 0.0;
-    double fps = 0.0;
-    double loss_ratio = 0.0;
-    double illumination_ratio = 0.0;
-    rs::CodeParameters params{};
-  };
-  mutable CodeMemo code_memo_;
 };
 
 /// Result of one end-to-end payload transfer.

@@ -63,7 +63,6 @@ class DecisionEngine {
       std::size_t position, double* margin_out) const = 0;
 
   [[nodiscard]] const DecisionStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = DecisionStats{}; }
 
  protected:
   /// Records one decision's margin into the stats (call from decide()).

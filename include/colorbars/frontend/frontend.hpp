@@ -71,9 +71,6 @@ class SlotObservationSource {
   /// observations (e.g. a frame fully inside the inter-frame gap);
   /// callers must keep pulling.
   virtual bool next_block(std::vector<rx::SlotObservation>& out) = 0;
-
-  /// The symbol rate the source's slot grid is keyed to.
-  [[nodiscard]] virtual double symbol_rate_hz() const noexcept = 0;
 };
 
 /// Camera frontend configuration — the capture-side subset of
@@ -114,9 +111,6 @@ class CameraFrontend final : public SlotObservationSource {
   CameraFrontend& operator=(const CameraFrontend&) = delete;
 
   bool next_block(std::vector<rx::SlotObservation>& out) override;
-  [[nodiscard]] double symbol_rate_hz() const noexcept override {
-    return symbol_rate_hz_;
-  }
 
   /// Frames a channel stage rejected so far.
   [[nodiscard]] long long frames_dropped() const noexcept { return frames_dropped_; }

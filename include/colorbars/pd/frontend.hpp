@@ -48,15 +48,11 @@ class PdFrontend final : public frontend::SlotObservationSource {
   PdFrontend& operator=(const PdFrontend&) = delete;
 
   bool next_block(std::vector<rx::SlotObservation>& out) override;
-  [[nodiscard]] double symbol_rate_hz() const noexcept override {
-    return symbol_rate_hz_;
-  }
 
   [[nodiscard]] const PdSampler& sampler() const noexcept { return sampler_; }
   [[nodiscard]] const SlotReducer& reducer() const noexcept { return reducer_; }
 
  private:
-  double symbol_rate_hz_;
   PdSampler sampler_;
   PdSampleSource source_;
   SlotReducer reducer_;

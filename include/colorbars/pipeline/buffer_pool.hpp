@@ -32,25 +32,11 @@ struct BufferPoolStats {
   long long peak_outstanding_frames = 0;
   long long outstanding_scratch = 0;
   long long peak_outstanding_scratch = 0;
-  long long frames_evicted = 0;    ///< releases dropped by the retention cap
-  long long scratch_evicted = 0;
-};
-
-/// Retention policy: how many released buffers of each kind the pool
-/// keeps for reuse. Releases beyond the cap are dropped on the floor
-/// (freed immediately) instead of parked, which bounds the pool's idle
-/// footprint when clients churn — e.g. a SceneReceiver whose lane set
-/// keeps changing would otherwise grow the free lists monotonically.
-struct BufferPoolConfig {
-  /// Retained-buffer cap per free list; <= 0 means unbounded.
-  int max_retained_frames = 0;
-  int max_retained_scratch = 0;
 };
 
 class BufferPool {
  public:
   BufferPool() = default;
-  explicit BufferPool(BufferPoolConfig config) : config_(config) {}
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
@@ -66,15 +52,8 @@ class BufferPool {
   /// Snapshot of the counters.
   [[nodiscard]] BufferPoolStats stats() const;
 
-  [[nodiscard]] const BufferPoolConfig& config() const noexcept { return config_; }
-
-  /// Currently parked (idle) buffers, per free list.
-  [[nodiscard]] std::size_t retained_frames() const;
-  [[nodiscard]] std::size_t retained_scratch() const;
-
  private:
   mutable std::mutex mutex_;
-  BufferPoolConfig config_;
   std::vector<camera::Frame> free_frames_;
   std::vector<camera::RenderScratch> free_scratch_;
   BufferPoolStats stats_;

@@ -167,15 +167,14 @@ class Receiver {
   /// end with offline semantics (truncated packets are reported) and
   /// returns `timeline.slots.size()`.
   ///
-  /// `cold_start_prescan` controls the offline cold-start behavior of
-  /// scanning ahead for calibration packets before the sequential parse
-  /// (see prescan_calibration). Incremental callers that manage the
-  /// pre-scan themselves with a persistent cursor pass false, otherwise
-  /// repeated calls would re-absorb the same partials in a different
-  /// blend order than the offline pass.
+  /// It runs no calibration pre-scan: parse() runs one over the whole
+  /// timeline first, and StreamingReceiver threads its own cursor
+  /// through prescan_calibration (re-scanning on every call would
+  /// re-absorb the same partials in a different blend order than the
+  /// offline pass).
   std::size_t parse_from(const SlotTimeline& timeline, std::size_t start_position,
                          std::size_t limit_position, ReceiverReport& report,
-                         bool final_flush = false, bool cold_start_prescan = true);
+                         bool final_flush);
 
   /// Cold-start calibration pre-scan: scans `[from, limit)` for
   /// calibration packets and absorbs each matching partial once, in
@@ -202,24 +201,14 @@ class Receiver {
   /// reads a cell a later frame could still fill in.
   [[nodiscard]] std::size_t max_decision_span_slots() const noexcept;
 
-  /// Classifies a single observation against the current calibration,
-  /// restricted to data symbols (used for size fields and payload slots,
-  /// where the schedule says the slot cannot be white/off).
-  [[nodiscard]] int classify_data(const SlotObservation& observation) const;
-
-  /// classify_data plus the decision margin: the runner-up reference
-  /// distance minus the best one (-1 when fewer than two references are
-  /// available, in which case the margin is not meaningful).
-  [[nodiscard]] int classify_data(const SlotObservation& observation,
-                                  double* margin_out) const;
-
-  /// Contextual classification: decides the data symbol at `position`
-  /// of the timeline through the configured decision engine, which may
-  /// read the trailing slots as FIR context. `timeline.slots[position]`
-  /// must be an observed cell. This is the call the parse loops use;
-  /// the observation-only overloads above classify through a
-  /// single-cell window (equalized engines then take their documented
-  /// nearest-reference fallback).
+  /// Classifies the slot at `position` of the timeline against the
+  /// current calibration, restricted to data symbols (size fields and
+  /// payload slots, where the schedule says the slot cannot be
+  /// white/off), through the configured decision engine, which may read
+  /// the trailing slots as FIR context. `timeline.slots[position]` must
+  /// be an observed cell. With `margin_out` non-null, stores the
+  /// decision margin: the runner-up reference distance minus the best
+  /// one (-1 when fewer than two references are available).
   [[nodiscard]] int classify_data(const SlotTimeline& timeline, std::size_t position,
                                   double* margin_out = nullptr) const;
 

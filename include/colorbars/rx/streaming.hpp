@@ -39,36 +39,22 @@
 
 namespace colorbars::rx {
 
-/// Per-stream decode-side counters (reset never; cumulative unless
-/// prefixed last_).
+/// Per-stream decode-side counters, cumulative across begin_epoch
+/// reconfigurations. The capture arena and the frame pool keep their
+/// own counters (util::CaptureArena::stats, pipeline::BufferPool::stats).
 struct StreamingStats {
   long long drains = 0;              ///< poll()/finish() calls that parsed
   long long slots_ingested = 0;      ///< observations accepted from frames
   long long slots_scanned = 0;       ///< cumulative parse-loop positions
   long long slots_evicted = 0;       ///< slots dropped from the window
-  long long window_slots = 0;        ///< current retained window length
   long long peak_window_slots = 0;   ///< max window length ever retained
   double parse_time_s = 0.0;         ///< cumulative wall time inside drains
-  long long last_drain_slots_scanned = 0;
-  double last_drain_time_s = 0.0;
-  long long epoch_switches = 0;      ///< begin_epoch reconfigurations
-  // Capture-arena counters of this stream's scanline scratch (see
-  // util::CaptureArena::Stats): every push_frame resets the arena once,
-  // and a reuse hit means the frame's reduction ran without touching
-  // the allocator.
-  long long arena_resets = 0;
-  long long arena_reuse_hits = 0;
-  long long arena_peak_bytes = 0;  ///< largest one-frame scratch footprint
-  // Decision-engine counters (see eq::DecisionStats / eq::EqualizerState),
-  // refreshed after every drain and accumulated across begin_epoch
-  // reconfigurations.
+  // Decision-engine counters (see eq::DecisionStats), refreshed after
+  // every drain.
   long long engine_decisions = 0;          ///< data-slot decisions taken
   long long engine_fallback_decisions = 0; ///< decided on the nearest fallback
   double engine_margin_sum = 0.0;          ///< Σ per-decision ΔE margins
   long long engine_margin_count = 0;
-  long long engine_retrains = 0;           ///< successful tap estimations
-  long long engine_train_fallbacks = 0;    ///< estimations the guard rejected
-  double engine_tap_norm = 0.0;            ///< current epoch's equalizer ‖w‖₂
 };
 
 class StreamingReceiver {
@@ -138,7 +124,8 @@ class StreamingReceiver {
   /// Total frames ingested.
   [[nodiscard]] int frames_ingested() const noexcept { return frames_ingested_; }
 
-  /// Decode-side counters (window size, eviction, per-drain cost).
+  /// Decode-side counters (window size, eviction, parse cost, engine
+  /// decisions).
   [[nodiscard]] const StreamingStats& stats() const noexcept { return stats_; }
 
   /// Slots held back from the stream head before a packet may be
@@ -168,10 +155,10 @@ class StreamingReceiver {
   [[nodiscard]] std::size_t head_margin_slots() const noexcept;
 
   /// Records per-drain stats bookkeeping shared by every drain path.
-  void note_drain(double elapsed_s, long long scanned_before) noexcept;
+  void note_drain(double elapsed_s) noexcept;
 
-  /// Refreshes the engine_* stats from the inner receiver's engine and
-  /// equalizer state, on top of the accumulated pre-epoch base.
+  /// Refreshes the engine_* stats from the inner receiver's engine, on
+  /// top of the accumulated pre-epoch base.
   void refresh_engine_stats() noexcept;
 
   /// Shared ingest tail of the push_frame and push_observations paths.
@@ -179,7 +166,7 @@ class StreamingReceiver {
 
   Receiver receiver_;
   /// Per-stream scratch arena for the frame reduction (scanline colors);
-  /// reset once per pushed frame, surfaced through stats().
+  /// reset once per pushed frame.
   util::CaptureArena arena_;
   /// Sliding window of observations. base_slot tracks eviction; valid
   /// once the first observation arrives.
@@ -201,16 +188,9 @@ class StreamingReceiver {
   /// Slot span accumulated by epochs already flushed (report_.slot_span
   /// stays cumulative across begin_epoch).
   long long span_base_ = 0;
-  /// Engine counters accumulated by epochs already flushed (begin_epoch
-  /// replaces the receiver — and with it the live engine stats).
-  struct EngineStatsBase {
-    long long decisions = 0;
-    long long fallback_decisions = 0;
-    double margin_sum = 0.0;
-    long long margin_count = 0;
-    long long retrains = 0;
-    long long train_fallbacks = 0;
-  } engine_base_;
+  /// Decision counters accumulated by epochs already flushed
+  /// (begin_epoch replaces the receiver, and with it the live engine).
+  eq::DecisionStats engine_base_;
   ReceiverReport report_;
   StreamingStats stats_;
 };

@@ -36,20 +36,6 @@ struct RoiDecodeLane {
   std::unique_ptr<rx::StreamingReceiver> receiver;
 };
 
-/// Aggregate decode counters over every lane.
-struct SceneDecodeTotals {
-  int lanes = 0;
-  long long packets = 0;
-  long long packets_ok = 0;
-  std::size_t payload_bytes = 0;
-  // Capture-arena counters summed (peak: maxed) over every lane's
-  // streaming receiver — proof the per-lane reduction scratch recycles
-  // instead of reallocating per frame.
-  long long arena_resets = 0;
-  long long arena_reuse_hits = 0;
-  long long arena_peak_bytes = 0;
-};
-
 class SceneReceiver {
  public:
   explicit SceneReceiver(SceneReceiverConfig config);
@@ -67,8 +53,6 @@ class SceneReceiver {
   [[nodiscard]] const rx::RoiTracker& tracker() const noexcept { return tracker_; }
   [[nodiscard]] const SceneReceiverConfig& config() const noexcept { return config_; }
   [[nodiscard]] int frames_consumed() const noexcept { return frames_consumed_; }
-
-  [[nodiscard]] SceneDecodeTotals totals() const;
 
  private:
   SceneReceiverConfig config_;

@@ -29,11 +29,16 @@
 
 namespace colorbars::svc {
 
+/// The most worker processes one run may spawn. run_sweep and
+/// run_adaptive_batch reject a larger count before any socket or
+/// process exists, and COLORBARS_GRID_WORKERS above it is ignored.
+inline constexpr int kMaxWorkers = 256;
+
 /// Scheduler tuning. Defaults suit the benches; tests shrink the
 /// timeouts to exercise the kill/retry paths quickly.
 struct ServiceConfig {
   /// Worker processes to spawn; 0 runs the jobs in this process on the
-  /// runtime pool. Negative is an error.
+  /// runtime pool. Negative or above kMaxWorkers is an error.
   int workers = 2;
   /// Per-job wall-clock deadline, seconds: a job still unfinished this
   /// long after dispatch has hung its worker (logic wedge with a live
@@ -88,9 +93,9 @@ struct SvcStats {
 /// Runs the sweep in this process (`config.workers` == 0) or across
 /// `config.workers` worker processes; the result is byte-identical
 /// either way, and at every pool size. Throws std::invalid_argument on
-/// a grid make_jobs rejects, and std::runtime_error on a negative
-/// worker count, when a job exhausts its retries, when the run is
-/// drained before completing, or on socket/spawn failure. In process,
+/// a grid make_jobs rejects, and std::runtime_error on a worker count
+/// outside [0, kMaxWorkers], when a job exhausts its retries, when the
+/// run is drained before completing, or on socket/spawn failure. In process,
 /// `stats` gets the job count and the wall time.
 [[nodiscard]] std::vector<PointResult> run_sweep(const SweepSpec& spec,
                                                  const ServiceConfig& config,
@@ -105,8 +110,7 @@ struct AdaptiveJob {
 /// Runs a batch of adaptive simulations, one job per run, in this
 /// process or across the worker pool as run_sweep does; results in
 /// input order. Byte-identical to running each AdaptiveLinkSimulator in
-/// order (modulo stream_stats, which stays in the worker — no aggregate
-/// consumer reads it).
+/// order.
 [[nodiscard]] std::vector<adapt::AdaptiveRunResult> run_adaptive_batch(
     const std::vector<AdaptiveJob>& runs, const ServiceConfig& config,
     SvcStats* stats = nullptr);
@@ -126,8 +130,8 @@ void maybe_run_worker();
 [[nodiscard]] bool result_answers_job(const JobRequest& job, const JobResultMessage& result);
 
 /// Parses COLORBARS_GRID_WORKERS, the worker count of every figure
-/// grid. Unset, empty, non-numeric, < 1 or > 256 yields 0: the grid
-/// runs in this process.
+/// grid. Unset, empty, non-numeric, < 1 or > kMaxWorkers yields 0: the
+/// grid runs in this process.
 [[nodiscard]] int grid_workers_from_env();
 
 }  // namespace colorbars::svc

@@ -29,7 +29,7 @@ class CaptureArena {
  public:
   static constexpr std::size_t kAlignment = 64;
 
-  /// Cumulative counters (never reset) for surfacing in StreamingStats.
+  /// Cumulative counters (never reset); read them from the arena.
   struct Stats {
     std::size_t peak_bytes = 0;   ///< largest total footprint of one frame
     long long resets = 0;         ///< reset() calls

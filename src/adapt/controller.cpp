@@ -69,6 +69,16 @@ void validate_ladder(const std::vector<Rung>& ladder, double max_rate_hz) {
   }
 }
 
+void ControllerConfig::validate() const {
+  if (up_confirm_intervals < 1 || max_up_confirm_intervals < up_confirm_intervals) {
+    throw std::invalid_argument("ControllerConfig: bad confirmation interval bounds");
+  }
+  if (!(switch_cost_intervals >= 0.0) || !std::isfinite(switch_cost_intervals)) {
+    throw std::invalid_argument(
+        "ControllerConfig: switch_cost_intervals must be finite and non-negative");
+  }
+}
+
 RateController::RateController(std::vector<Rung> ladder, ControllerConfig config,
                                int initial_rung)
     : ladder_(std::move(ladder)), config_(config), desired_(initial_rung) {
@@ -78,15 +88,7 @@ RateController::RateController(std::vector<Rung> ladder, ControllerConfig config
   if (initial_rung < 0 || initial_rung >= static_cast<int>(ladder_.size())) {
     throw std::invalid_argument("RateController: initial rung outside the ladder");
   }
-  if (config_.up_confirm_intervals < 1 ||
-      config_.max_up_confirm_intervals < config_.up_confirm_intervals) {
-    throw std::invalid_argument("RateController: bad confirmation interval bounds");
-  }
-  if (!(config_.switch_cost_intervals >= 0.0) ||
-      !std::isfinite(config_.switch_cost_intervals)) {
-    throw std::invalid_argument(
-        "RateController: switch_cost_intervals must be finite and non-negative");
-  }
+  config_.validate();
   required_streak_ = config_.up_confirm_intervals;
 }
 

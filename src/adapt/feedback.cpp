@@ -4,14 +4,18 @@
 
 namespace colorbars::adapt {
 
+void FeedbackConfig::validate() const {
+  if (delay_intervals < 0) {
+    throw std::invalid_argument("FeedbackConfig: delay_intervals must be >= 0");
+  }
+  if (!(loss_probability >= 0.0) || loss_probability > 1.0) {
+    throw std::invalid_argument("FeedbackConfig: loss_probability must be in [0, 1]");
+  }
+}
+
 FeedbackLink::FeedbackLink(FeedbackConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {
-  if (config.delay_intervals < 0) {
-    throw std::invalid_argument("FeedbackLink: delay_intervals must be >= 0");
-  }
-  if (!(config.loss_probability >= 0.0) || config.loss_probability > 1.0) {
-    throw std::invalid_argument("FeedbackLink: loss_probability must be in [0, 1]");
-  }
+  config_.validate();
 }
 
 bool FeedbackLink::send(const RungCommand& command, long long now) {

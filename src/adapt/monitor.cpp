@@ -4,11 +4,13 @@
 
 namespace colorbars::adapt {
 
-LinkMonitor::LinkMonitor(MonitorConfig config) : config_(config) {
-  if (!(config.alpha > 0.0) || !(config.alpha <= 1.0)) {
-    throw std::invalid_argument("LinkMonitor: alpha must be in (0, 1]");
+void MonitorConfig::validate() const {
+  if (!(alpha > 0.0) || !(alpha <= 1.0)) {
+    throw std::invalid_argument("MonitorConfig: alpha must be in (0, 1]");
   }
 }
+
+LinkMonitor::LinkMonitor(MonitorConfig config) : config_(config) { config_.validate(); }
 
 void LinkMonitor::observe(const LinkQualitySample& sample) {
   const double alpha = config_.alpha;

@@ -26,6 +26,18 @@ int Trajectory::segment_index_at(double t) const noexcept {
   return static_cast<int>(segments.size()) - 1;
 }
 
+void Trajectory::validate() const {
+  if (segments.empty()) {
+    throw std::invalid_argument("Trajectory: must not be empty");
+  }
+  for (const TrajectorySegment& segment : segments) {
+    if (!(segment.duration_s > 0.0)) {
+      throw std::invalid_argument("Trajectory: segment durations must be > 0");
+    }
+    segment.channel.validate();
+  }
+}
+
 Trajectory walkaway_trajectory() {
   // Against an 8 cm reference panel (the paper's §10 LED-array
   // extension: a larger emitter keeps filling the field of view), the
@@ -65,6 +77,31 @@ core::LinkConfig AdaptiveLinkConfig::link_at(const Rung& rung,
   return link;
 }
 
+void AdaptiveLinkConfig::validate() const {
+  validate_ladder(ladder, led::TriLedConfig{}.max_symbol_rate_hz);
+  const int initial = resolved_initial_rung();
+  if (initial < 0 || initial >= static_cast<int>(ladder.size())) {
+    throw std::invalid_argument("AdaptiveLinkConfig: initial rung outside ladder");
+  }
+  if (!(control_interval_s > 0.0)) {
+    throw std::invalid_argument("AdaptiveLinkConfig: control interval must be > 0");
+  }
+  // Every interval runs link_at(rung, the segment's channel), whose
+  // payload burst is sized by core::slots_in; Trajectory::validate
+  // checks the channels.
+  for (const Rung& rung : ladder) {
+    link_at(rung, channel::ChannelSpec{}).validate();
+    (void)core::slots_in(control_interval_s, rung.symbol_rate_hz);
+  }
+  if (!(recalibration_cost_s >= 0.0) || !std::isfinite(recalibration_cost_s)) {
+    throw std::invalid_argument(
+        "AdaptiveLinkConfig: recalibration cost must be finite and non-negative");
+  }
+  monitor.validate();
+  controller.validate();
+  feedback.validate();
+}
+
 namespace {
 
 // Run-level sub-streams of the adaptive simulator's seed.
@@ -89,29 +126,8 @@ struct PendingInterval {
 AdaptiveLinkSimulator::AdaptiveLinkSimulator(AdaptiveLinkConfig config,
                                              Trajectory trajectory)
     : config_(std::move(config)), trajectory_(std::move(trajectory)) {
-  validate_ladder(config_.ladder, led::TriLedConfig{}.max_symbol_rate_hz);
-  const int initial = config_.resolved_initial_rung();
-  if (initial < 0 || initial >= static_cast<int>(config_.ladder.size())) {
-    throw std::invalid_argument("AdaptiveLinkSimulator: initial rung outside ladder");
-  }
-  if (!(config_.control_interval_s > 0.0)) {
-    throw std::invalid_argument("AdaptiveLinkSimulator: control interval must be > 0");
-  }
-  if (!(config_.recalibration_cost_s >= 0.0) ||
-      !std::isfinite(config_.recalibration_cost_s)) {
-    throw std::invalid_argument(
-        "AdaptiveLinkSimulator: recalibration cost must be finite and non-negative");
-  }
-  if (trajectory_.segments.empty()) {
-    throw std::invalid_argument("AdaptiveLinkSimulator: trajectory must not be empty");
-  }
-  for (const TrajectorySegment& segment : trajectory_.segments) {
-    if (!(segment.duration_s > 0.0)) {
-      throw std::invalid_argument(
-          "AdaptiveLinkSimulator: segment durations must be > 0");
-    }
-    segment.channel.validate();
-  }
+  config_.validate();
+  trajectory_.validate();
 }
 
 AdaptiveRunResult AdaptiveLinkSimulator::run() {
@@ -326,7 +342,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
   result.commands_sent = feedback.commands_sent();
   result.commands_lost = feedback.commands_lost();
   result.final_rung = applied;
-  result.stream_stats = receiver.stats();
   return result;
 }
 

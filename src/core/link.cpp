@@ -78,23 +78,8 @@ void LinkConfig::validate() const {
 }
 
 rs::CodeParameters LinkConfig::code() const {
-  const bool memo_hit = code_memo_.valid && code_memo_.order == order &&
-                        code_memo_.symbol_rate_hz == symbol_rate_hz &&
-                        code_memo_.fps == profile.fps &&
-                        code_memo_.loss_ratio == profile.inter_frame_loss_ratio &&
-                        code_memo_.illumination_ratio == illumination_ratio;
-  if (!memo_hit) {
-    code_memo_.order = order;
-    code_memo_.symbol_rate_hz = symbol_rate_hz;
-    code_memo_.fps = profile.fps;
-    code_memo_.loss_ratio = profile.inter_frame_loss_ratio;
-    code_memo_.illumination_ratio = illumination_ratio;
-    code_memo_.params = derive_link_code(order, symbol_rate_hz, profile.fps,
-                                         profile.inter_frame_loss_ratio,
-                                         illumination_ratio);
-    code_memo_.valid = true;
-  }
-  return code_memo_.params;
+  return derive_link_code(order, symbol_rate_hz, profile.fps,
+                          profile.inter_frame_loss_ratio, illumination_ratio);
 }
 
 tx::TransmitterConfig LinkConfig::transmitter_config() const {

@@ -21,18 +21,24 @@ const PdFrontendConfig& validated(const PdFrontendConfig& config) {
   return config;
 }
 
+/// The sampler of a config that has passed validated(): taking it as
+/// the argument runs the checks before the sampler meters its AGC.
+PdSampler make_sampler(const PdFrontendConfig& config, const led::EmissionTrace& trace,
+                       std::uint64_t capture_seed) {
+  return PdSampler(
+      config.pd,
+      channel::OpticalChannel(
+          config.channel,
+          runtime::derive_stream_seed(capture_seed, frontend::kOpticalSeedStream)),
+      trace, config.start_offset_s,
+      runtime::derive_stream_seed(capture_seed, frontend::kPdNoiseSeedStream));
+}
+
 }  // namespace
 
 PdFrontend::PdFrontend(const PdFrontendConfig& config, const led::EmissionTrace& trace,
                        std::uint64_t capture_seed)
-    : symbol_rate_hz_(validated(config).symbol_rate_hz),
-      sampler_(config.pd,
-               channel::OpticalChannel(
-                   config.channel,
-                   runtime::derive_stream_seed(capture_seed,
-                                               frontend::kOpticalSeedStream)),
-               trace, config.start_offset_s,
-               runtime::derive_stream_seed(capture_seed, frontend::kPdNoiseSeedStream)),
+    : sampler_(make_sampler(validated(config), trace, capture_seed)),
       source_(sampler_),
       reducer_(config.pd, config.symbol_rate_hz) {}
 

@@ -22,12 +22,6 @@ camera::Frame BufferPool::acquire_frame() {
 void BufferPool::release_frame(camera::Frame&& frame) {
   std::lock_guard<std::mutex> lock(mutex_);
   --stats_.outstanding_frames;
-  if (config_.max_retained_frames > 0 &&
-      free_frames_.size() >= static_cast<std::size_t>(config_.max_retained_frames)) {
-    ++stats_.frames_evicted;
-    const camera::Frame evicted = std::move(frame);  // frees here, not parked
-    return;
-  }
   free_frames_.push_back(std::move(frame));
 }
 
@@ -49,28 +43,12 @@ camera::RenderScratch BufferPool::acquire_scratch() {
 void BufferPool::release_scratch(camera::RenderScratch&& scratch) {
   std::lock_guard<std::mutex> lock(mutex_);
   --stats_.outstanding_scratch;
-  if (config_.max_retained_scratch > 0 &&
-      free_scratch_.size() >= static_cast<std::size_t>(config_.max_retained_scratch)) {
-    ++stats_.scratch_evicted;
-    const camera::RenderScratch evicted = std::move(scratch);  // frees here, not parked
-    return;
-  }
   free_scratch_.push_back(std::move(scratch));
 }
 
 BufferPoolStats BufferPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::size_t BufferPool::retained_frames() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return free_frames_.size();
-}
-
-std::size_t BufferPool::retained_scratch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return free_scratch_.size();
 }
 
 }  // namespace colorbars::pipeline

@@ -104,20 +104,6 @@ SlotTimeline Receiver::collect(std::span<const camera::Frame> frames) const {
   return assemble_timeline(observations);
 }
 
-int Receiver::classify_data(const SlotObservation& observation) const {
-  return classify_data(observation, nullptr);
-}
-
-int Receiver::classify_data(const SlotObservation& observation,
-                            double* margin_out) const {
-  // Single-cell window: no FIR context, so equalized engines take their
-  // nearest-reference fallback. The parse loops use the timeline
-  // overload below instead.
-  const std::optional<SlotObservation> cell(observation);
-  return engine_->decide(
-      store_, std::span<const std::optional<SlotObservation>>(&cell, 1), 0, margin_out);
-}
-
 int Receiver::classify_data(const SlotTimeline& timeline, std::size_t position,
                             double* margin_out) const {
   return engine_->decide(store_, timeline.slots, position, margin_out);
@@ -300,13 +286,20 @@ ReceiverReport Receiver::parse(const SlotTimeline& timeline) {
   ReceiverReport report;
   report.slots_observed = static_cast<long long>(timeline.observed_count());
   report.slot_span = static_cast<long long>(timeline.slots.size());
+  // Cold-start pre-scan: the capture is decoded offline (as the paper
+  // does for its iPhone receiver), so data packets that precede the
+  // first *intact* calibration packet can still be demodulated against
+  // it. Find and absorb the earliest calibration packets before the
+  // sequential parse; later calibration packets refresh the store as
+  // they are reached.
+  (void)prescan_calibration(timeline, 0, timeline.slots.size());
   (void)parse_from(timeline, 0, timeline.slots.size(), report, /*final_flush=*/true);
   return report;
 }
 
 std::size_t Receiver::parse_from(const SlotTimeline& timeline, std::size_t start_position,
                                  std::size_t limit_position, ReceiverReport& report,
-                                 bool final_flush, bool cold_start_prescan) {
+                                 bool final_flush) {
   const std::size_t end = timeline.slots.size();
   limit_position = std::min(limit_position, end);
   if (start_position >= end) return final_flush ? end : start_position;
@@ -315,18 +308,6 @@ std::size_t Receiver::parse_from(const SlotTimeline& timeline, std::size_t start
   const int size_symbols = protocol::size_field_symbols(config_.format.order);
   const auto& schedule = packetizer_.schedule();
   const int bits = constellation_.bits();
-
-  // Cold-start pre-scan: the capture is decoded offline (as the paper
-  // does for its iPhone receiver), so data packets that precede the
-  // first *intact* calibration packet can still be demodulated against
-  // it. Find and absorb the earliest calibration packets before the
-  // sequential parse; later calibration packets refresh the store as
-  // they are reached. Incremental callers manage this themselves via
-  // prescan_calibration with a persistent cursor and pass
-  // cold_start_prescan = false.
-  if (cold_start_prescan && !store_.calibrated()) {
-    (void)prescan_calibration(timeline, start_position, end);
-  }
 
   std::size_t position = start_position;
   while (position < end) {

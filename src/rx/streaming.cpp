@@ -31,10 +31,6 @@ void StreamingReceiver::push_frame(const camera::Frame& frame, int column_begin,
                                    int column_end) {
   ingest_slots(extract_slots(frame, receiver_.config().symbol_rate_hz, column_begin,
                              column_end, arena_, receiver_.config().extractor));
-  const util::CaptureArena::Stats& arena = arena_.stats();
-  stats_.arena_resets = arena.resets;
-  stats_.arena_reuse_hits = arena.reuse_hits;
-  stats_.arena_peak_bytes = static_cast<long long>(arena.peak_bytes);
 }
 
 void StreamingReceiver::push_observations(std::span<const SlotObservation> observations) {
@@ -69,8 +65,8 @@ void StreamingReceiver::ingest_slots(std::span<const SlotObservation> slots) {
     ++stats_.slots_ingested;
   }
   ++frames_ingested_;
-  stats_.window_slots = static_cast<long long>(window_.slots.size());
-  stats_.peak_window_slots = std::max(stats_.peak_window_slots, stats_.window_slots);
+  stats_.peak_window_slots =
+      std::max(stats_.peak_window_slots, static_cast<long long>(window_.slots.size()));
 }
 
 std::size_t StreamingReceiver::head_margin_slots() const noexcept {
@@ -79,26 +75,19 @@ std::size_t StreamingReceiver::head_margin_slots() const noexcept {
 
 void StreamingReceiver::refresh_engine_stats() noexcept {
   const eq::DecisionStats& decisions = receiver_.engine().stats();
-  const eq::EqualizerState& equalizer = receiver_.store().equalizer();
   stats_.engine_decisions = engine_base_.decisions + decisions.decisions;
   stats_.engine_fallback_decisions =
       engine_base_.fallback_decisions + decisions.fallback_decisions;
   stats_.engine_margin_sum = engine_base_.margin_sum + decisions.margin_sum;
   stats_.engine_margin_count = engine_base_.margin_count + decisions.margin_count;
-  stats_.engine_retrains = engine_base_.retrains + equalizer.retrains;
-  stats_.engine_train_fallbacks =
-      engine_base_.train_fallbacks + equalizer.train_fallbacks;
-  stats_.engine_tap_norm = equalizer.tap_norm();
 }
 
-void StreamingReceiver::note_drain(double elapsed_s, long long scanned_before) noexcept {
+void StreamingReceiver::note_drain(double elapsed_s) noexcept {
   ++stats_.drains;
   refresh_engine_stats();
-  stats_.last_drain_slots_scanned = report_.slots_scanned - scanned_before;
   stats_.slots_scanned = report_.slots_scanned;
-  stats_.window_slots = static_cast<long long>(window_.slots.size());
-  stats_.peak_window_slots = std::max(stats_.peak_window_slots, stats_.window_slots);
-  stats_.last_drain_time_s = elapsed_s;
+  stats_.peak_window_slots =
+      std::max(stats_.peak_window_slots, static_cast<long long>(window_.slots.size()));
   stats_.parse_time_s += elapsed_s;
 }
 
@@ -106,7 +95,6 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
   const std::size_t first_new = report_.packets.size();
   if (!window_valid_ || window_.slots.empty()) return first_new;
   const auto started = std::chrono::steady_clock::now();
-  const long long scanned_before = report_.slots_scanned;
   auto elapsed = [&started] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
         .count();
@@ -131,7 +119,7 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
           receiver_.prescan_calibration(window_, prescan_position_, prescan_limit);
     }
     if (!final_flush && !receiver_.store().calibrated()) {
-      note_drain(elapsed(), scanned_before);
+      note_drain(elapsed());
       return first_new;
     }
   }
@@ -148,8 +136,8 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
     limit = limit > margin ? limit - margin : 0;
   }
 
-  resume_position_ = receiver_.parse_from(window_, resume_position_, limit, report_,
-                                          final_flush, /*cold_start_prescan=*/false);
+  resume_position_ =
+      receiver_.parse_from(window_, resume_position_, limit, report_, final_flush);
   // Keep the aggregate fields the batch Receiver::parse fills in sync
   // with everything ingested so far (parse_from only appends packets and
   // scan counters).
@@ -174,7 +162,7 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
     stats_.slots_evicted += static_cast<long long>(evict);
   }
 
-  note_drain(elapsed(), scanned_before);
+  note_drain(elapsed());
   return first_new;
 }
 
@@ -194,17 +182,14 @@ void StreamingReceiver::begin_epoch(ReceiverConfig config) {
   // Flush the old epoch with end-of-stream semantics: anything still
   // held back decodes against the old calibration before it is lost.
   (void)drain(/*final_flush=*/true);
-  // Fold the outgoing epoch's engine counters into the cumulative base
-  // before the receiver (and its live engine stats) is replaced.
+  // Fold the outgoing epoch's decision counters into the cumulative
+  // base before the receiver (and its live engine stats) is replaced.
   {
     const eq::DecisionStats& decisions = receiver_.engine().stats();
-    const eq::EqualizerState& equalizer = receiver_.store().equalizer();
     engine_base_.decisions += decisions.decisions;
     engine_base_.fallback_decisions += decisions.fallback_decisions;
     engine_base_.margin_sum += decisions.margin_sum;
     engine_base_.margin_count += decisions.margin_count;
-    engine_base_.retrains += equalizer.retrains;
-    engine_base_.train_fallbacks += equalizer.train_fallbacks;
   }
   receiver_ = Receiver(std::move(config));
   refresh_engine_stats();
@@ -218,8 +203,6 @@ void StreamingReceiver::begin_epoch(ReceiverConfig config) {
   first_slot_ = 0;
   latest_slot_ = -1;
   ++epoch_;
-  ++stats_.epoch_switches;
-  stats_.window_slots = 0;
 }
 
 void StreamingReceiver::on_stream_end() { (void)drain(/*final_flush=*/true); }

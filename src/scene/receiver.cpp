@@ -70,22 +70,4 @@ void SceneReceiver::on_stream_end() {
                         });
 }
 
-SceneDecodeTotals SceneReceiver::totals() const {
-  SceneDecodeTotals totals;
-  totals.lanes = static_cast<int>(lanes_.size());
-  for (const RoiDecodeLane& lane : lanes_) {
-    const rx::ReceiverReport& report = lane.receiver->report();
-    totals.packets += static_cast<long long>(report.packets.size());
-    for (const rx::PacketRecord& record : report.packets) {
-      if (record.ok) ++totals.packets_ok;
-    }
-    totals.payload_bytes += report.payload.size();
-    const rx::StreamingStats& stats = lane.receiver->stats();
-    totals.arena_resets += stats.arena_resets;
-    totals.arena_reuse_hits += stats.arena_reuse_hits;
-    totals.arena_peak_bytes = std::max(totals.arena_peak_bytes, stats.arena_peak_bytes);
-  }
-  return totals;
-}
-
 }  // namespace colorbars::scene

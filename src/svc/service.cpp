@@ -745,7 +745,10 @@ class Scheduler {
 /// process, one job per task on the runtime pool.
 std::vector<JobResultMessage> run_jobs(const std::vector<JobRequest>& jobs,
                                        const ServiceConfig& config, SvcStats* stats) {
-  if (config.workers < 0) throw std::runtime_error("svc: worker count must be >= 0");
+  if (config.workers < 0 || config.workers > kMaxWorkers) {
+    throw std::runtime_error("svc: worker count must be in [0, " +
+                             std::to_string(kMaxWorkers) + "]");
+  }
   if (config.workers > 0) return Scheduler(jobs, config).run(stats);
   const double start_s = now_s();
   std::vector<JobResultMessage> results(jobs.size());
@@ -843,7 +846,7 @@ int grid_workers_from_env() {
   if (value == nullptr || *value == '\0') return 0;
   char* end = nullptr;
   const long workers = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || workers < 1 || workers > 256) return 0;
+  if (end == value || *end != '\0' || workers < 1 || workers > kMaxWorkers) return 0;
   return static_cast<int>(workers);
 }
 

@@ -446,11 +446,11 @@ Json encode(const T& value) {
 
 // --- the walker: strict decode ---
 
-/// Boundary checks run on every decoded config. A LinkConfig gets the
-/// check LinkSimulator runs at construction; an adaptive config keeps
-/// its profile-only check.
+/// Boundary checks run on every decoded config: the checks the
+/// simulators run at construction.
 void check(const core::LinkConfig& config) { config.validate(); }
-void check(const adapt::AdaptiveLinkConfig& config) { config.profile.validate(); }
+void check(const adapt::AdaptiveLinkConfig& config) { config.validate(); }
+void check(const adapt::Trajectory& trajectory) { trajectory.validate(); }
 
 /// Strict decoder. Every read checks the JSON kind and the field type's
 /// range: integers must be integer literals that fit, doubles finite,

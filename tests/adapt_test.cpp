@@ -509,7 +509,6 @@ TEST(Adapt, StreamingEpochSwitchRecalibratesAndTagsRecords) {
   }
   streaming.begin_epoch(second.rx_config);
   EXPECT_EQ(streaming.epoch(), 1);
-  EXPECT_EQ(streaming.stats().epoch_switches, 1);
 
   for (const camera::Frame& frame : second.frames) {
     streaming.push_frame(frame);
@@ -635,7 +634,6 @@ TEST(Adapt, ClosedLoopDownshiftsWhenChannelWorsens) {
   }
   EXPECT_GT(near_bytes, 0);
   EXPECT_GT(far_bytes, 0);
-  EXPECT_EQ(result.stream_stats.epoch_switches, result.epochs - 1);
 }
 
 TEST(Adapt, FrozenPolicyNeverSwitches) {

@@ -397,10 +397,10 @@ TEST(BatchTrials, ZeroTrialsIsEmpty) {
 TEST(LinkConfigCode, MemoTracksFieldEdits) {
   core::LinkConfig config = small_link();
   const rs::CodeParameters first = config.code();
-  EXPECT_EQ(first.n, config.code().n);  // memo hit
+  EXPECT_EQ(first.n, config.code().n);  // same inputs, same code
   config.symbol_rate_hz = 4000.0;
   const rs::CodeParameters second = config.code();
-  EXPECT_NE(first.n, second.n);  // memo invalidated by the edit
+  EXPECT_NE(first.n, second.n);  // the edit is seen
   const rs::CodeParameters reference = core::derive_link_code(
       config.order, config.symbol_rate_hz, config.profile.fps,
       config.profile.inter_frame_loss_ratio, config.illumination_ratio);

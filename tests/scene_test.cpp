@@ -160,12 +160,10 @@ TEST(Scene, SimulatorValidatesSceneAtConstruction) {
 }
 
 TEST(Scene, ReceiverKeepsRetiredLanePackets) {
-  // A lane whose track retires must keep its decoded packets in lanes()
-  // (totals aggregate over every lane ever opened).
+  // A lane whose track retires must keep its decoded packets in lanes().
   SceneReceiverConfig config;
   SceneReceiver receiver(config);
   EXPECT_EQ(receiver.lanes().size(), 0u);
-  EXPECT_EQ(receiver.totals().lanes, 0);
   receiver.on_stream_end();  // no lanes: must be a harmless no-op
 }
 

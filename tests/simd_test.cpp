@@ -5,7 +5,7 @@
 // capture, a golden hash, or a decode. These tests prove it per kernel
 // (exhaustively for the Rgb8→Lab chain, with every misalignment offset
 // 0–31 for the row kernels, randomized frames for the rest), plus the
-// capture-arena and buffer-pool-cap plumbing that rides on the layer.
+// capture-arena plumbing that rides on the layer.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +25,9 @@
 #include "colorbars/color/lut.hpp"
 #include "colorbars/color/srgb.hpp"
 #include "colorbars/led/tri_led.hpp"
-#include "colorbars/pipeline/buffer_pool.hpp"
 #include "colorbars/protocol/symbols.hpp"
 #include "colorbars/runtime/thread_pool.hpp"
 #include "colorbars/rx/band_extractor.hpp"
-#include "colorbars/rx/streaming.hpp"
 #include "colorbars/simd/simd.hpp"
 #include "colorbars/util/arena.hpp"
 #include "colorbars/util/fma_log.hpp"
@@ -628,75 +626,6 @@ TEST(Simd, ArenaOverflowCoalescesOnReset) {
   arena.reset();
   EXPECT_EQ(arena.stats().reuse_hits, 2);  // first reset + post-coalesce one
   EXPECT_GE(arena.stats().peak_bytes, 1008 * sizeof(double));
-}
-
-// ---------------------------------------------------------------------------
-// Buffer-pool retention cap.
-
-TEST(Simd, BufferPoolCapBoundsRetainedBuffersUnderChurn) {
-  pipeline::BufferPoolConfig config;
-  config.max_retained_frames = 3;
-  config.max_retained_scratch = 2;
-  pipeline::BufferPool pool(config);
-
-  // Churn like a scene whose lane set keeps changing: bursts of varying
-  // width, all released back. Without the cap the free lists would grow
-  // to the widest burst ever seen and stay there.
-  for (int burst = 1; burst <= 8; ++burst) {
-    std::vector<camera::Frame> frames;
-    std::vector<camera::RenderScratch> scratch;
-    for (int i = 0; i < burst; ++i) {
-      frames.push_back(pool.acquire_frame());
-      frames.back().resize(64, 32);
-      scratch.push_back(pool.acquire_scratch());
-    }
-    for (auto& frame : frames) pool.release_frame(std::move(frame));
-    for (auto& s : scratch) pool.release_scratch(std::move(s));
-    EXPECT_LE(pool.retained_frames(), 3u) << "burst " << burst;
-    EXPECT_LE(pool.retained_scratch(), 2u) << "burst " << burst;
-  }
-
-  const pipeline::BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(pool.retained_frames(), 3u);
-  EXPECT_EQ(pool.retained_scratch(), 2u);
-  EXPECT_GT(stats.frames_evicted, 0);
-  EXPECT_GT(stats.scratch_evicted, 0);
-  EXPECT_GT(stats.frame_hits, 0);  // the cap still leaves a working pool
-  EXPECT_EQ(stats.outstanding_frames, 0);
-  EXPECT_EQ(stats.outstanding_scratch, 0);
-
-  // An uncapped pool keeps everything — the default behavior is intact.
-  pipeline::BufferPool unbounded;
-  std::vector<camera::Frame> frames;
-  for (int i = 0; i < 8; ++i) frames.push_back(unbounded.acquire_frame());
-  for (auto& frame : frames) unbounded.release_frame(std::move(frame));
-  EXPECT_EQ(unbounded.retained_frames(), 8u);
-  EXPECT_EQ(unbounded.stats().frames_evicted, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming arena counters.
-
-TEST(Simd, StreamingReceiverSurfacesArenaCounters) {
-  rx::StreamingReceiver receiver(rx::ReceiverConfig{});
-  camera::Frame frame;
-  frame.resize(128, 32);
-  frame.row_time_s = 1.0 / (2000.0 * 4.0);
-  frame.exposure_s = frame.row_time_s;
-  for (auto& pixel : frame.pixels) pixel = {200, 40, 90};
-
-  for (int i = 0; i < 3; ++i) {
-    frame.frame_index = i;
-    frame.start_time_s = i * (1.0 / 30.0);
-    receiver.push_frame(frame);
-  }
-  const rx::StreamingStats& stats = receiver.stats();
-  EXPECT_EQ(stats.arena_resets, 3);
-  // Frames are same-shaped, so after the first reduction the arena
-  // serves every later frame from the same block.
-  EXPECT_GE(stats.arena_reuse_hits, 2);
-  EXPECT_GE(stats.arena_peak_bytes,
-            static_cast<long long>(128 * sizeof(rx::ScanlineColor)));
 }
 
 }  // namespace

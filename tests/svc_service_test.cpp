@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -240,10 +241,14 @@ TEST(Svc, InvalidPointThrowsBeforeAnyTrialOrWorker) {
 }
 
 TEST(Svc, NegativeWorkerCountIsAnError) {
-  ServiceConfig config;
-  config.workers = -1;
-  EXPECT_THROW((void)run_sweep(small_spec(), config), std::runtime_error);
-  EXPECT_THROW((void)run_adaptive_batch({}, config), std::runtime_error);
+  // Above kMaxWorkers is refused too, before any socket or process
+  // exists: a typo must not fork thousands of workers.
+  for (const int workers : {-1, kMaxWorkers + 1, std::numeric_limits<int>::max()}) {
+    ServiceConfig config;
+    config.workers = workers;
+    EXPECT_THROW((void)run_sweep(small_spec(), config), std::runtime_error) << workers;
+    EXPECT_THROW((void)run_adaptive_batch({}, config), std::runtime_error) << workers;
+  }
 }
 
 TEST(Svc, InProcessSweepMatchesWorkersForEveryKind) {

@@ -695,7 +695,7 @@ TEST(SvcWire, HostileValueAtEveryLeafIsRejectedOrSafe) {
   // no edit here. Each leaf in turn is dropped or replaced by a hostile
   // token. The parser must return an error, or a message that carries
   // the value unchanged (reject, never coerce), re-encodes stably, and
-  // holds a link config a simulator accepts.
+  // holds a link or adaptive config its simulator accepts.
   const std::string payloads[] = {
       encode_job(exercised_link_job()),
       encode_job(exercised_adaptive_job()),
@@ -732,6 +732,11 @@ TEST(SvcWire, HostileValueAtEveryLeafIsRejectedOrSafe) {
         ++accepted;
         if (parsed->type == "job" && !parsed->job.is_adaptive) {
           EXPECT_NO_THROW((void)core::LinkSimulator(parsed->job.config)) << where;
+        }
+        if (parsed->type == "job" && parsed->job.is_adaptive) {
+          EXPECT_NO_THROW((void)adapt::AdaptiveLinkSimulator(parsed->job.adaptive,
+                                                             parsed->job.trajectory))
+              << where;
         }
         const std::string again = reencode(*parsed);
         if (value) {

@@ -1,25 +1,22 @@
 // trial_grid: command-line front end of the grid executor
-// (colorbars::svc::run_sweep). Two modes:
+// (colorbars::svc::run_sweep).
 //
-//   trial_grid sweep  [--workers N] [--trials T] [--trials-per-job J]
-//                     [--orders 8,16] [--frequencies 1000,2000]
-//                     [--symbols S] [--socket PATH]
-//       Runs an SER sweep grid. --workers 0 (default) runs it in this
-//       process on the runtime pool (COLORBARS_THREADS); N >= 1 runs
-//       the same grid through N spawned worker processes, on an
-//       explicit Unix-socket path with --socket, and prints the
-//       scheduler statistics to stderr. Output is byte-identical
-//       either way. SIGTERM drains a worker run gracefully: in-flight
-//       jobs finish, nothing new is dispatched.
+//   trial_grid sweep [--workers N] [--trials T] [--trials-per-job J]
+//                    [--orders 8,16] [--frequencies 1000,2000]
+//                    [--symbols S] [--socket PATH]
 //
-//   trial_grid worker --socket PATH [--index I] [--generation G]
-//       Connects to a running server as a worker. (Servers normally
-//       spawn their own workers by re-executing themselves; this mode
-//       exists for debugging the protocol by hand.)
+// Runs an SER sweep grid. --workers 0 (default) runs it in this process
+// on the runtime pool (COLORBARS_THREADS); 1 <= N <= svc::kMaxWorkers
+// runs the same grid through N spawned worker processes, on an
+// explicit Unix-socket path with --socket, and prints the scheduler
+// statistics to stderr. Output is byte-identical either way. SIGTERM
+// drains a worker run gracefully: in-flight jobs finish, nothing new is
+// dispatched. Every number must parse whole ("2x" is refused).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,8 +35,6 @@ struct Options {
   std::vector<int> orders = {8, 16};
   std::vector<double> frequencies = {1000.0, 2000.0};
   std::string socket_path;
-  int index = 0;
-  int generation = 0;
 };
 
 std::vector<std::string> split_list(const char* text) {
@@ -59,12 +54,34 @@ std::vector<std::string> split_list(const char* text) {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: trial_grid sweep|worker [options]\n"
-               "  sweep:  [--workers N] [--trials T] [--trials-per-job J]\n"
-               "          [--orders 8,16] [--frequencies 1000,2000]\n"
-               "          [--symbols S] [--socket PATH]\n"
-               "  worker: --socket PATH [--index I] [--generation G]\n");
+               "usage: trial_grid sweep [--workers N] [--trials T] [--trials-per-job J]\n"
+               "                        [--orders 8,16] [--frequencies 1000,2000]\n"
+               "                        [--symbols S] [--socket PATH]\n");
   std::exit(64);
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const std::string& value) {
+  std::fprintf(stderr, "trial_grid: bad value '%s' for %s\n", value.c_str(), flag.c_str());
+  usage();
+}
+
+/// The whole of `text` as an int, or usage() naming `flag`.
+int parse_int(const std::string& flag, const std::string& text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) bad_value(flag, text);
+  return value;
+}
+
+/// The whole of `text` as a finite double, or usage() naming `flag`.
+double parse_double(const std::string& flag, const std::string& text) {
+  char* stop = nullptr;
+  const double value = std::strtod(text.c_str(), &stop);
+  if (text.empty() || stop != text.c_str() + text.size() || !std::isfinite(value)) {
+    bad_value(flag, text);
+  }
+  return value;
 }
 
 bool parse_options(int argc, char** argv, Options& options) {
@@ -74,28 +91,24 @@ bool parse_options(int argc, char** argv, Options& options) {
     if (value == nullptr) return false;
     ++i;
     if (flag == "--workers") {
-      options.workers = std::atoi(value);
+      options.workers = parse_int(flag, value);
     } else if (flag == "--trials") {
-      options.trials = std::atoi(value);
+      options.trials = parse_int(flag, value);
     } else if (flag == "--trials-per-job") {
-      options.trials_per_job = std::atoi(value);
+      options.trials_per_job = parse_int(flag, value);
     } else if (flag == "--symbols") {
-      options.symbols = std::atoi(value);
+      options.symbols = parse_int(flag, value);
     } else if (flag == "--socket") {
       options.socket_path = value;
-    } else if (flag == "--index") {
-      options.index = std::atoi(value);
-    } else if (flag == "--generation") {
-      options.generation = std::atoi(value);
     } else if (flag == "--orders") {
       options.orders.clear();
       for (const std::string& item : split_list(value)) {
-        options.orders.push_back(std::atoi(item.c_str()));
+        options.orders.push_back(parse_int(flag, item));
       }
     } else if (flag == "--frequencies") {
       options.frequencies.clear();
       for (const std::string& item : split_list(value)) {
-        options.frequencies.push_back(std::atof(item.c_str()));
+        options.frequencies.push_back(parse_double(flag, item));
       }
     } else {
       return false;
@@ -174,16 +187,6 @@ int run_grid(const Options& options) {
   return 0;
 }
 
-int run_manual_worker(const Options& options) {
-  if (options.socket_path.empty()) usage();
-  ::setenv("COLORBARS_SVC_WORKER_SOCKET", options.socket_path.c_str(), 1);
-  ::setenv("COLORBARS_SVC_WORKER_INDEX", std::to_string(options.index).c_str(), 1);
-  ::setenv("COLORBARS_SVC_WORKER_GENERATION",
-           std::to_string(options.generation).c_str(), 1);
-  svc::maybe_run_worker();  // never returns with the socket env set
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,17 +194,14 @@ int main(int argc, char** argv) {
   // is already set and this call never returns.
   svc::maybe_run_worker();
 
-  if (argc < 2) usage();
-  const std::string mode = argv[1];
+  if (argc < 2 || std::string(argv[1]) != "sweep") usage();
   Options options;
   if (!parse_options(argc, argv, options)) usage();
 
   try {
-    if (mode == "sweep") return run_grid(options);
-    if (mode == "worker") return run_manual_worker(options);
+    return run_grid(options);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "trial_grid: %s\n", error.what());
     return 1;
   }
-  usage();
 }
