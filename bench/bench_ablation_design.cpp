@@ -28,7 +28,7 @@ core::SerResult ser_with_space(rx::MatchingSpace space, std::uint64_t seed) {
   // Strong vignetting: the regime where brightness variation punishes
   // brightness-sensitive metrics (paper Fig. 8).
   config.profile.vignette_strength = 0.5;
-  config.classifier.matching_space = space;
+  config.matching_space = space;
   config.seed = seed;
   core::LinkSimulator sim(config);
   return sim.run_ser(4000);

@@ -7,6 +7,9 @@
 //   (c) the same as a function of ISO.
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "bench_util.hpp"
 #include "colorbars/camera/camera.hpp"
@@ -44,7 +47,12 @@ std::vector<color::ChromaAB> perceived_references(const camera::SensorProfile& p
 
   std::vector<color::ChromaAB> references;
   for (int i = 0; i < 8; ++i) {
-    references.push_back(receiver.store().reference(i).value_or(color::ChromaAB{}));
+    const std::optional<color::ChromaAB> reference = receiver.store().reference(i);
+    if (!reference.has_value()) {
+      throw std::runtime_error(profile.name + ": calibration never showed symbol " +
+                               std::to_string(i));
+    }
+    references.push_back(*reference);
   }
   return references;
 }

@@ -3,7 +3,8 @@
 //   - the auto-exposure decision the camera makes for the LED,
 //   - the CIELab chroma each CSK reference color lands on after that
 //     camera's color filter, demosaic and exposure pipeline,
-//   - the inter-symbol margins the calibrated receiver ends up with.
+//   - how many references one calibration capture teaches the receiver,
+//     and the smallest margin between those it learned.
 //
 // Useful when adding a new device profile: if the printed minimum margin
 // for an order drops near the noise floor, that device needs a lower CSK
@@ -11,8 +12,10 @@
 //
 // Build & run:   ./build/examples/camera_survey
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "colorbars/camera/camera.hpp"
@@ -23,9 +26,10 @@ using namespace colorbars;
 
 namespace {
 
-/// Learned reference colors for one device at one CSK order.
-std::vector<color::ChromaAB> survey_references(const camera::SensorProfile& profile,
-                                               csk::CskOrder order) {
+/// Learned reference colors for one device at one CSK order (empty
+/// where the capture never showed the receiver that symbol).
+std::vector<std::optional<color::ChromaAB>> survey_references(
+    const camera::SensorProfile& profile, csk::CskOrder order) {
   tx::TransmitterConfig tx_config;
   tx_config.format.order = order;
   tx_config.symbol_rate_hz = 1000.0;
@@ -41,20 +45,25 @@ std::vector<color::ChromaAB> survey_references(const camera::SensorProfile& prof
   rx::Receiver receiver(rx_config);
   (void)receiver.process(frames);
 
-  std::vector<color::ChromaAB> references;
+  std::vector<std::optional<color::ChromaAB>> references;
   for (int i = 0; i < csk::symbol_count(order); ++i) {
-    references.push_back(receiver.store().reference(i).value_or(color::ChromaAB{}));
+    references.push_back(receiver.store().reference(i));
   }
   return references;
 }
 
-double min_margin(const std::vector<color::ChromaAB>& references) {
+/// Smallest ΔE between two learned references; empty when fewer than
+/// two were learned.
+std::optional<double> min_margin(
+    const std::vector<std::optional<color::ChromaAB>>& references) {
   double margin = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < references.size(); ++i) {
     for (std::size_t j = i + 1; j < references.size(); ++j) {
-      margin = std::min(margin, color::delta_e_ab(references[i], references[j]));
+      if (!references[i].has_value() || !references[j].has_value()) continue;
+      margin = std::min(margin, color::delta_e_ab(*references[i], *references[j]));
     }
   }
+  if (margin == std::numeric_limits<double>::infinity()) return std::nullopt;
   return margin;
 }
 
@@ -79,12 +88,22 @@ int main() {
 
     for (const csk::CskOrder order : csk::all_orders()) {
       const auto references = survey_references(profile, order);
-      std::printf("  CSK%-2d calibrated references (a, b), min margin ΔE %.1f:\n",
-                  csk::symbol_count(order), min_margin(references));
+      const auto learned = std::count_if(references.begin(), references.end(),
+                                         [](const auto& ref) { return ref.has_value(); });
+      const std::optional<double> margin = min_margin(references);
+      char margin_text[32] = "n/a";
+      if (margin.has_value()) std::snprintf(margin_text, sizeof margin_text, "%.1f", *margin);
+      std::printf("  CSK%-2d %d/%d references learned, min margin ΔE %s\n",
+                  csk::symbol_count(order), static_cast<int>(learned),
+                  csk::symbol_count(order), margin_text);
       if (order == csk::CskOrder::kCsk8) {
         for (std::size_t i = 0; i < references.size(); ++i) {
-          std::printf("    sym %zu: (%7.1f, %7.1f)\n", i, references[i].a,
-                      references[i].b);
+          if (references[i].has_value()) {
+            std::printf("    sym %zu: (%7.1f, %7.1f)\n", i, references[i]->a,
+                        references[i]->b);
+          } else {
+            std::printf("    sym %zu: not learned\n", i);
+          }
         }
       }
     }
@@ -94,6 +113,7 @@ int main() {
   std::printf(
       "Reading the survey: a device is usable at an order when its minimum\n"
       "reference margin stays well above the per-band chroma noise (a few ΔE).\n"
-      "Shrinking margins at CSK32 are why its SER is highest (paper Fig. 9).\n");
+      "The margin spans only the references this one capture taught the\n"
+      "receiver, and reads n/a when it learned fewer than two.\n");
   return 0;
 }

@@ -1,12 +1,10 @@
 #pragma once
 
-// Rx-side link-quality estimation. The decoder already computes — and
-// discarded, before this subsystem — everything a rate controller
-// needs: RS corrected-symbol counts, ΔE decision margins against the
-// calibration store, header-loss outcomes, and the frame pipeline's
-// drop counters. LinkMonitor folds one LinkQualitySample per control
-// interval into an exponentially smoothed LinkQuality estimate the
-// RateController consumes.
+// Rx-side link-quality estimation. The decoder already computes
+// everything a rate controller needs: packet outcomes and ΔE decision
+// margins against the calibration store. LinkMonitor folds one
+// LinkQualitySample per control interval into an exponentially
+// smoothed LinkQuality estimate the RateController consumes.
 
 #include <cstdint>
 
@@ -20,10 +18,6 @@ struct LinkQualitySample {
   /// Data packet records that reached a decode decision (ok + failed).
   int packets_decided = 0;
   int packets_ok = 0;
-  /// Failed records whose header (flag/size field) was unreadable.
-  int header_losses = 0;
-  /// RS corrected errors + erasures summed over decided packets.
-  long long corrected_symbols = 0;
   /// ΔE decision margin sum/count over classified payload slots.
   double margin_sum = 0.0;
   long long margin_count = 0;
@@ -57,24 +51,13 @@ struct MonitorConfig {
   void validate() const;
 };
 
-/// The smoothed estimate. All rates are EWMA over interval samples.
+/// The smoothed estimate. Both signals are EWMA over interval samples.
 struct LinkQuality {
   double packet_success = 1.0;
   /// Smoothed mean ΔE decision margin; meaningful only when
   /// margin_valid (margins only exist for decoded payload slots).
   double margin = 0.0;
   bool margin_valid = false;
-  /// Ratio estimates below follow the same discipline as margin: an
-  /// interval with an empty denominator (nothing sent, no frames, no
-  /// decisions) carries no evidence about the ratio, so it neither
-  /// initializes nor decays the EWMA. Each is meaningful only once its
-  /// _valid flag is set.
-  double header_loss = 0.0;    ///< header-lost packets per packet sent
-  bool header_loss_valid = false;
-  double frame_drop = 0.0;     ///< dropped frames per frame produced
-  bool frame_drop_valid = false;
-  double corrected_per_packet = 0.0;  ///< RS corrections per decided packet
-  bool corrected_valid = false;
   int samples = 0;
 
   [[nodiscard]] bool valid() const noexcept { return samples > 0; }

@@ -57,8 +57,10 @@ struct Trajectory {
     return segments[static_cast<std::size_t>(segment_index_at(t))];
   }
 
-  /// Throws std::invalid_argument unless there is at least one segment
-  /// and every segment has a positive duration and a valid channel.
+  /// Throws std::invalid_argument unless there is at least one segment,
+  /// every segment has a positive duration and a valid channel, and the
+  /// total duration is finite with at most INT_MAX symbol slots at
+  /// led::TriLedConfig's rate limit (core::slots_in).
   void validate() const;
 };
 
@@ -92,7 +94,7 @@ struct AdaptiveLinkConfig {
   camera::SensorProfile profile = camera::nexus5_profile();
   double illumination_ratio = 0.8;
   double calibration_rate_hz = 5.0;
-  rx::ClassifierConfig classifier{};
+  rx::MatchingSpace matching_space = rx::MatchingSpace::kCielabAB;
   int pipeline_lookahead = 8;
   MonitorConfig monitor{};
   ControllerConfig controller{};

@@ -53,7 +53,7 @@
 #include "colorbars/eq/state.hpp"   // decision-engine config + equalizer state
 
 #include "colorbars/rx/band_extractor.hpp"     // frame -> slot observations
-#include "colorbars/rx/calibration_store.hpp"  // references + classifier
+#include "colorbars/rx/calibration_store.hpp"  // references + OFF test
 #include "colorbars/eq/engine.hpp"             // pluggable symbol-decision engines
 #include "colorbars/rx/receiver.hpp"           // batch receiver
 #include "colorbars/rx/streaming.hpp"          // frame-at-a-time receiver

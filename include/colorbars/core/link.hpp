@@ -56,9 +56,9 @@ struct LinkConfig {
   /// beyond the camera's ceiling (bench_extension_solar).
   led::TriLedConfig led{};
   double calibration_rate_hz = 5.0;
-  /// Receiver matching/classification tuning (ablation knob: matching
-  /// space, thresholds).
-  rx::ClassifierConfig classifier{};
+  /// Metric the receiver matches observations to references in
+  /// (ablation knob; see rx::MatchingSpace).
+  rx::MatchingSpace matching_space = rx::MatchingSpace::kCielabAB;
   /// Symbol-decision engine the receiver classifies data slots with.
   /// The default nearest-reference engine reproduces the pre-seam link
   /// byte-for-byte; the equalized engines invert rolling-shutter /

@@ -103,8 +103,8 @@ struct EqualizerState {
   }
 };
 
-/// Per-engine decision counters (margin distribution plus how often the
-/// engine had to decide without equalization).
+/// Per-engine decision counters (margin sum and count, plus how often
+/// the engine had to decide without equalization).
 struct DecisionStats {
   long long decisions = 0;
   /// Decisions taken on the nearest-reference fallback path (taps not
@@ -113,12 +113,6 @@ struct DecisionStats {
   long long fallback_decisions = 0;
   double margin_sum = 0.0;
   long long margin_count = 0;
-  double min_margin = 0.0;
-  double max_margin = 0.0;
-
-  [[nodiscard]] double margin_mean() const noexcept {
-    return margin_count > 0 ? margin_sum / static_cast<double>(margin_count) : 0.0;
-  }
 };
 
 }  // namespace colorbars::eq

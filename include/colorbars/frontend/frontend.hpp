@@ -1,7 +1,7 @@
 #pragma once
 
 // The receiver frontend seam: everything between the optical channel
-// and the slot-domain back half (CalibrationStore / classifier /
+// and the slot-domain back half (CalibrationStore / decision engine /
 // packetizer / RS) is a SlotObservationSource — a sensor plus its
 // matched reduction that yields per-slot color observations in stream
 // order. Two frontends implement it today:

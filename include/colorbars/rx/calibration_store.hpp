@@ -1,12 +1,14 @@
 #pragma once
 
-// Calibration store and symbol classifier (paper §6-§7). The receiver
-// keeps the most recent reference color for every constellation symbol,
-// learned from the transmitter's periodic calibration packets, and
-// classifies observed bands against them by color distance. Because the
-// references come through the *same* camera as the data, device
-// color-response skew and current exposure/ISO settings cancel out —
-// this is the paper's answer to receiver diversity.
+// Calibration store (paper §6-§7). The receiver keeps the most recent
+// reference color for every constellation symbol, learned from the
+// transmitter's periodic calibration packets, and the OFF test that
+// packet framing needs before any calibration. Because the references
+// come through the *same* camera as the data, device color-response
+// skew and current exposure/ISO settings cancel out — this is the
+// paper's answer to receiver diversity. The symbol decision itself is
+// eq::DecisionEngine's (nearest reference under this store's metric),
+// and the illumination schedule places the white slots.
 //
 // The matching space is configurable: the production choice is the
 // CIELab (a,b) plane with lightness removed (paper §7); RGB-space
@@ -18,7 +20,6 @@
 
 #include "colorbars/color/lab.hpp"
 #include "colorbars/eq/state.hpp"
-#include "colorbars/protocol/symbols.hpp"
 #include "colorbars/rx/band_extractor.hpp"
 
 namespace colorbars::rx {
@@ -41,35 +42,20 @@ struct ReferenceColor {
   }
 };
 
-/// Classifier tuning.
-struct ClassifierConfig {
-  /// Lightness below which a band may be the LED-OFF symbol. Exposure
-  /// blur from the lit neighbors brightens a single-slot OFF band well
-  /// above true darkness at high symbol rates, so the threshold sits
-  /// midway between blurred-OFF (~L 35) and WHITE (~L 60); the chroma
-  /// guard below keeps dim saturated colors out.
-  double off_lightness = 37.0;
-  /// Chroma magnitude above which a dim band is a saturated color (deep
-  /// blue symbols are dim but strongly chromatic) rather than OFF.
-  double off_max_chroma = 25.0;
-  /// Distance within which a band counts as a confident match to a
-  /// reference (the paper's JND-based threshold, ~2.3, relaxed to absorb
-  /// noise). Interpreted in the units of the selected matching space.
-  double confident_delta_e = 6.0;
-  /// Metric used for symbol matching.
-  MatchingSpace matching_space = MatchingSpace::kCielabAB;
-};
-
-/// What the classifier concluded about one slot observation.
-struct Classification {
-  protocol::ChannelSymbol symbol;
-  double distance = 0.0;  ///< distance to the winning reference
-  bool confident = false;
-};
+/// Lightness below which a band may be the LED-OFF symbol. Exposure
+/// blur from the lit neighbors brightens a single-slot OFF band well
+/// above true darkness at high symbol rates, so the threshold sits
+/// midway between blurred-OFF (~L 35) and WHITE (~L 60); the chroma
+/// guard below keeps dim saturated colors out.
+inline constexpr double kOffLightness = 37.0;
+/// Chroma magnitude above which a dim band is a saturated color (deep
+/// blue symbols are dim but strongly chromatic) rather than OFF.
+inline constexpr double kOffMaxChroma = 25.0;
 
 class CalibrationStore {
  public:
-  CalibrationStore(int symbol_count, ClassifierConfig config = {});
+  CalibrationStore(int symbol_count,
+                   MatchingSpace matching_space = MatchingSpace::kCielabAB);
 
   /// True once every constellation reference has been learned; until
   /// then data symbols cannot be classified (paper §6: a new receiver
@@ -88,22 +74,13 @@ class CalibrationStore {
     return static_cast<int>(references_.size());
   }
 
-  [[nodiscard]] const ClassifierConfig& config() const noexcept { return config_; }
-
-  /// Absorbs a complete calibration packet: `colors[i]` is the observed
-  /// color of constellation symbol i. Must have exactly symbol_count()
-  /// entries.
-  void absorb_calibration(const std::vector<ReferenceColor>& colors);
+  [[nodiscard]] MatchingSpace matching_space() const noexcept { return matching_space_; }
 
   /// Absorbs a partially-observed calibration packet: entries without a
   /// value (lost to the inter-frame gap) leave the existing reference
   /// untouched; present entries blend 50/50 with any existing value.
   /// Must have exactly symbol_count() entries.
   void absorb_calibration_partial(const std::vector<std::optional<ReferenceColor>>& colors);
-
-  /// Updates the white reference (learned from the white symbols inside
-  /// packet flags, which are identifiable without calibration).
-  void absorb_white(const ReferenceColor& white);
 
   /// Reference chroma of symbol `index`; nullopt before calibration.
   [[nodiscard]] std::optional<color::ChromaAB> reference(int index) const;
@@ -116,17 +93,12 @@ class CalibrationStore {
   [[nodiscard]] double distance(const SlotObservation& observation,
                                 const ReferenceColor& reference) const noexcept;
 
-  /// Classifies an observation into OFF / WHITE / nearest data symbol.
-  /// Before calibration, any lit band classifies as WHITE (the only
-  /// reference that exists), with confident == false for colored bands.
-  [[nodiscard]] Classification classify(const SlotObservation& observation) const;
-
   /// True if the observation is the OFF symbol (dark band). This works
   /// without calibration — the paper's flags rely on it. Dim but
   /// strongly chromatic bands (deep blue) are not OFF.
-  [[nodiscard]] bool is_off(const SlotObservation& observation) const noexcept {
-    return observation.lightness < config_.off_lightness &&
-           color::delta_e_ab(observation.chroma, {0.0, 0.0}) < config_.off_max_chroma;
+  [[nodiscard]] static bool is_off(const SlotObservation& observation) noexcept {
+    return observation.lightness < kOffLightness &&
+           color::delta_e_ab(observation.chroma, {0.0, 0.0}) < kOffMaxChroma;
   }
 
   /// Equalizer state fit by an eq::DecisionEngine from the same
@@ -139,9 +111,8 @@ class CalibrationStore {
   }
 
  private:
-  ClassifierConfig config_;
+  MatchingSpace matching_space_;
   std::vector<std::optional<ReferenceColor>> references_;
-  ReferenceColor white_reference_{};
   eq::EqualizerState equalizer_{};
 };
 

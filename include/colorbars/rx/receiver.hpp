@@ -36,7 +36,9 @@ struct ReceiverConfig {
   int rs_n = 64;
   int rs_k = 32;
   ExtractorConfig extractor{};
-  ClassifierConfig classifier{};
+  /// Metric the decision engine matches observations to references in
+  /// (ablation knob; CIELab (a,b) is the paper's choice).
+  MatchingSpace matching_space = MatchingSpace::kCielabAB;
   /// Declare gap-lost payload slots as RS erasures (paper §7: the size
   /// field plus the band count locate the loss). Disabling falls back to
   /// blind error decoding — the paper's literal 2t formula — and roughly
@@ -256,14 +258,17 @@ class Receiver {
                                                        std::size_t position,
                                                        std::size_t pattern_size) const;
 
-  /// Learns the white reference from the W slots of a matched pattern.
-  void absorb_pattern_white(const SlotTimeline& timeline, std::size_t position,
-                            std::span<const protocol::ChannelSymbol> pattern);
-
   /// Reads the constellation-size color sequence of a calibration packet
   /// starting at `colors_at`; colors lost to the gap are left empty.
   [[nodiscard]] std::vector<std::optional<ReferenceColor>> read_calibration_colors(
       const SlotTimeline& timeline, std::size_t colors_at) const;
+
+  /// Absorbs the calibration packet `match` found at `position`: reads
+  /// its colors, permutes them into constellation order, blends the
+  /// observed ones into the store and trains the engine. Returns the
+  /// number of colors observed (0 absorbs nothing).
+  int absorb_calibration_packet(const SlotTimeline& timeline, std::size_t position,
+                                const CalibrationMatch& match);
 
   /// Forwards one absorbed calibration packet to the decision engine as
   /// training data: `raw_colors` in slot order (pre-permutation, so the

@@ -110,7 +110,8 @@ struct AdaptiveJob {
 /// Runs a batch of adaptive simulations, one job per run, in this
 /// process or across the worker pool as run_sweep does; results in
 /// input order. Byte-identical to running each AdaptiveLinkSimulator in
-/// order.
+/// order. Throws std::invalid_argument, before any run or worker, when
+/// a run's config or trajectory fails its validate().
 [[nodiscard]] std::vector<adapt::AdaptiveRunResult> run_adaptive_batch(
     const std::vector<AdaptiveJob>& runs, const ServiceConfig& config,
     SvcStats* stats = nullptr);

@@ -73,7 +73,7 @@ class FrameDecoder {
 
 /// Serializes the full link configuration: order, rates, profile,
 /// ChannelSpec (distance/ambient/flicker/occlusion/ISI/frame), frontend
-/// selection, pd chain, LED hardware, classifier, decision engine,
+/// selection, pd chain, LED hardware, matching space, decision engine,
 /// ablation flags, lookahead and seed.
 [[nodiscard]] Json link_config_to_json(const core::LinkConfig& config);
 

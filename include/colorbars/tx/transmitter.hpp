@@ -19,8 +19,9 @@ namespace colorbars::tx {
 struct TransmitterConfig {
   protocol::FrameFormat format{};
   double symbol_rate_hz = 2000.0;
-  /// RS code dimensions (derive via rs::derive_code_parameters for a
-  /// given receiver loss ratio; paper §5).
+  /// RS code dimensions. Every link derives them with
+  /// core::LinkConfig::code() (derive_link_code: one whole packet per
+  /// frame period, parity by the paper's §5 rule; DESIGN.md §4).
   int rs_n = 64;
   int rs_k = 32;
   /// Calibration packets per second (paper §8 uses 5).

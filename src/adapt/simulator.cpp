@@ -36,6 +36,17 @@ void Trajectory::validate() const {
     }
     segment.channel.validate();
   }
+  // A run transmits control intervals until the whole trajectory has
+  // elapsed, so the total is bounded as a goodput trial's duration is:
+  // its slots at the tri-LED's rate limit, which caps every rung
+  // (validate_ladder), must pass core::slots_in.
+  try {
+    (void)core::slots_in(total_duration_s(), led::TriLedConfig{}.max_symbol_rate_hz);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(
+        "Trajectory: the total duration must be finite, with at most INT_MAX symbol "
+        "slots at the tri-LED's rate limit");
+  }
 }
 
 Trajectory walkaway_trajectory() {
@@ -71,7 +82,7 @@ core::LinkConfig AdaptiveLinkConfig::link_at(const Rung& rung,
   link.profile = profile;
   link.channel = spec;
   link.calibration_rate_hz = calibration_rate_hz;
-  link.classifier = classifier;
+  link.matching_space = matching_space;
   link.pipeline_lookahead = pipeline_lookahead;
   link.seed = seed;
   return link;
@@ -292,13 +303,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
     sample.margin_count = report.decision_margin_count - prev_margin_count;
     sample.frames_streamed = capture.frames_delivered();
     sample.frames_dropped = capture.frames_dropped();
-    // Header losses / corrections ride the per-interval attribution,
-    // which already classified the records decoded so far.
-    {
-      const IntervalRecord& latest = result.intervals.back();
-      sample.header_losses = latest.header_losses;
-      sample.corrected_symbols = latest.corrected_symbols;
-    }
     prev_ok = report.data_packets_ok;
     prev_failed = report.data_packets_failed;
     prev_margin_sum = report.decision_margin_sum;

@@ -102,7 +102,7 @@ rx::ReceiverConfig LinkConfig::receiver_config() const {
   config.format.illumination_ratio = illumination_ratio;
   config.symbol_rate_hz = symbol_rate_hz;
   config.frame_rate_hz = profile.fps;
-  config.classifier = classifier;
+  config.matching_space = matching_space;
   config.use_erasure_decoding = use_erasure_decoding;
   config.engine = engine;
   const rs::CodeParameters link_code = code();

@@ -19,13 +19,6 @@ void DecisionEngine::note_decision(double margin, bool fallback) const noexcept 
   ++stats_.decisions;
   if (fallback) ++stats_.fallback_decisions;
   if (margin >= 0.0) {
-    if (stats_.margin_count == 0) {
-      stats_.min_margin = margin;
-      stats_.max_margin = margin;
-    } else {
-      stats_.min_margin = std::min(stats_.min_margin, margin);
-      stats_.max_margin = std::max(stats_.max_margin, margin);
-    }
     stats_.margin_sum += margin;
     ++stats_.margin_count;
   }
@@ -35,55 +28,45 @@ namespace detail {
 
 int classify_nearest_store(const rx::CalibrationStore& store,
                            const SlotObservation& observation, double* margin_out) {
-  int best_index = 0;
-  double best_distance = std::numeric_limits<double>::infinity();
-  double second_distance = std::numeric_limits<double>::infinity();
   const int count = store.symbol_count();
   // Fast path for the production metric: gather the learned references
-  // into a stack SoA and fan the ΔE(ab) computation out through the
-  // dispatched kernel, then run the identical ascending best/second scan
-  // over the batched distances. Constellations are tiny (4-64 symbols),
-  // so 64 covers every configuration; anything larger or any other
-  // metric takes the original per-reference path.
+  // and their symbol indices, and run classify_against_refs' batched
+  // ΔE(ab) scan over them. Constellations are tiny (4-64 symbols), so 64
+  // covers every configuration; anything larger or any other metric
+  // takes the per-reference path.
   constexpr int kMaxBatch = 64;
-  if (store.config().matching_space == MatchingSpace::kCielabAB && count <= kMaxBatch) {
-    double ref_a[kMaxBatch] = {};
-    double ref_b[kMaxBatch] = {};
-    double dist[kMaxBatch];
+  if (store.matching_space() == MatchingSpace::kCielabAB && count <= kMaxBatch) {
+    color::ChromaAB references[kMaxBatch];
     int symbol_of[kMaxBatch];
     int learned = 0;
     for (int i = 0; i < count; ++i) {
-      const auto reference = store.reference_color(i);
+      const auto reference = store.reference(i);
       if (!reference.has_value()) continue;
-      ref_a[learned] = reference->chroma.a;
-      ref_b[learned] = reference->chroma.b;
+      references[learned] = *reference;
       symbol_of[learned] = i;
       ++learned;
     }
-    simd::delta_e_ab_many(ref_a, ref_b, learned, observation.chroma.a,
-                          observation.chroma.b, dist);
-    for (int j = 0; j < learned; ++j) {
-      const double d = dist[j];
-      if (d < best_distance) {
-        second_distance = best_distance;
-        best_distance = d;
-        best_index = symbol_of[j];
-      } else if (d < second_distance) {
-        second_distance = d;
-      }
+    if (learned == 0) {
+      if (margin_out != nullptr) *margin_out = -1.0;
+      return 0;
     }
-  } else {
-    for (int i = 0; i < count; ++i) {
-      const auto reference = store.reference_color(i);
-      if (!reference.has_value()) continue;
-      const double d = store.distance(observation, *reference);
-      if (d < best_distance) {
-        second_distance = best_distance;
-        best_distance = d;
-        best_index = i;
-      } else if (d < second_distance) {
-        second_distance = d;
-      }
+    return symbol_of[classify_against_refs(
+        std::span<const color::ChromaAB>(references, static_cast<std::size_t>(learned)),
+        observation.chroma, margin_out)];
+  }
+  int best_index = 0;
+  double best_distance = std::numeric_limits<double>::infinity();
+  double second_distance = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < count; ++i) {
+    const auto reference = store.reference_color(i);
+    if (!reference.has_value()) continue;
+    const double d = store.distance(observation, *reference);
+    if (d < best_distance) {
+      second_distance = best_distance;
+      best_distance = d;
+      best_index = i;
+    } else if (d < second_distance) {
+      second_distance = d;
     }
   }
   if (margin_out != nullptr) {

@@ -12,11 +12,12 @@
 
 namespace colorbars::eq::detail {
 
-/// The pre-seam receiver's nearest-reference scan, verbatim: SIMD batch
-/// over the learned references in the CIELab (a,b) space, per-reference
-/// metric loop otherwise. Returns the winning constellation index and
-/// (optionally) the second-minus-best margin, -1 when fewer than two
-/// references were comparable.
+/// The pre-seam receiver's nearest-reference scan: classify_against_refs
+/// over the learned references in the CIELab (a,b) space, a
+/// per-reference loop under the store's other metrics. Returns the
+/// winning constellation index and (optionally) the second-minus-best
+/// margin, -1 when fewer than two references were comparable; symbol 0
+/// when none is learned.
 [[nodiscard]] int classify_nearest_store(const rx::CalibrationStore& store,
                                          const rx::SlotObservation& observation,
                                          double* margin_out);

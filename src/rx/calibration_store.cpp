@@ -1,6 +1,5 @@
 #include "colorbars/rx/calibration_store.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace colorbars::rx {
@@ -17,8 +16,8 @@ ReferenceColor blend(const ReferenceColor& a, const ReferenceColor& b) {
 
 }  // namespace
 
-CalibrationStore::CalibrationStore(int symbol_count, ClassifierConfig config)
-    : config_(config) {
+CalibrationStore::CalibrationStore(int symbol_count, MatchingSpace matching_space)
+    : matching_space_(matching_space) {
   if (symbol_count <= 0) {
     throw std::invalid_argument("CalibrationStore: symbol count must be positive");
   }
@@ -39,13 +38,6 @@ bool CalibrationStore::has_any_reference() const noexcept {
   return false;
 }
 
-void CalibrationStore::absorb_calibration(const std::vector<ReferenceColor>& colors) {
-  if (colors.size() != references_.size()) {
-    throw std::invalid_argument("CalibrationStore: wrong calibration color count");
-  }
-  for (std::size_t i = 0; i < colors.size(); ++i) references_[i] = colors[i];
-}
-
 void CalibrationStore::absorb_calibration_partial(
     const std::vector<std::optional<ReferenceColor>>& colors) {
   if (colors.size() != references_.size()) {
@@ -63,10 +55,6 @@ void CalibrationStore::absorb_calibration_partial(
   }
 }
 
-void CalibrationStore::absorb_white(const ReferenceColor& white) {
-  white_reference_ = white;
-}
-
 std::optional<color::ChromaAB> CalibrationStore::reference(int index) const {
   if (index < 0 || index >= symbol_count()) return std::nullopt;
   const auto& reference = references_[static_cast<std::size_t>(index)];
@@ -81,7 +69,7 @@ std::optional<ReferenceColor> CalibrationStore::reference_color(int index) const
 
 double CalibrationStore::distance(const SlotObservation& observation,
                                   const ReferenceColor& reference) const noexcept {
-  switch (config_.matching_space) {
+  switch (matching_space_) {
     case MatchingSpace::kCielabAB:
       return color::delta_e_ab(observation.chroma, reference.chroma);
     case MatchingSpace::kCielab94:
@@ -89,47 +77,12 @@ double CalibrationStore::distance(const SlotObservation& observation,
           {reference.lightness, reference.chroma.a, reference.chroma.b},
           {observation.lightness, observation.chroma.a, observation.chroma.b});
     case MatchingSpace::kRgb:
-      // Scaled to 8-bit units so the confidence threshold is comparable
-      // in magnitude to the Lab metrics.
+      // Scaled to 8-bit units so decision margins, which the rate
+      // controller's min_margin gate reads, are comparable in magnitude
+      // to the Lab metrics'.
       return util::distance(observation.rgb, reference.rgb) * 255.0 / 3.0;
   }
   return 0.0;
-}
-
-Classification CalibrationStore::classify(const SlotObservation& observation) const {
-  Classification result;
-  if (is_off(observation)) {
-    result.symbol = protocol::ChannelSymbol::off();
-    result.distance = 0.0;
-    result.confident = true;
-    return result;
-  }
-
-  const double white_distance = distance(observation, white_reference_);
-  int best_index = -1;
-  double best_distance = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < symbol_count(); ++i) {
-    const auto& reference = references_[static_cast<std::size_t>(i)];
-    if (!reference.has_value()) continue;
-    const double d = distance(observation, *reference);
-    if (d < best_distance) {
-      best_distance = d;
-      best_index = i;
-    }
-  }
-
-  // White competes with the data references; positional information (the
-  // illumination schedule) is applied later by the packet parser, so here
-  // the color decides. With no references yet, any lit band is "white".
-  if (best_index < 0 || white_distance < best_distance) {
-    result.symbol = protocol::ChannelSymbol::white();
-    result.distance = white_distance;
-  } else {
-    result.symbol = protocol::ChannelSymbol::data(best_index);
-    result.distance = best_distance;
-  }
-  result.confident = result.distance <= config_.confident_delta_e;
-  return result;
 }
 
 }  // namespace colorbars::rx

@@ -14,7 +14,7 @@ Receiver::Receiver(ReceiverConfig config)
       constellation_(config.format.order),
       packetizer_(config.format, constellation_),
       code_(config.rs_n, config.rs_k),
-      store_(constellation_.size(), config.classifier),
+      store_(constellation_.size(), config.matching_space),
       engine_(eq::make_engine(config.engine)) {
   // The combined start-of-packet sequences: delimiter followed by flag.
   const auto with_flag = [](const std::vector<ChannelSymbol>& flag) {
@@ -165,28 +165,6 @@ bool Receiver::extension_rules_out_longer_prefix(const SlotTimeline& timeline,
   return !(next == SlotState::kLit && after == SlotState::kOff);
 }
 
-void Receiver::absorb_pattern_white(const SlotTimeline& timeline, std::size_t position,
-                                    std::span<const ChannelSymbol> pattern) {
-  ReferenceColor mean;
-  int count = 0;
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    if (pattern[i].kind != SymbolKind::kWhite) continue;
-    const auto& cell = timeline.slots[position + i];
-    if (!cell.has_value()) continue;
-    mean.chroma += cell->chroma;
-    mean.lightness += cell->lightness;
-    mean.rgb += cell->rgb;
-    ++count;
-  }
-  if (count > 0) {
-    const double inv = 1.0 / count;
-    mean.chroma /= static_cast<double>(count);
-    mean.lightness *= inv;
-    mean.rgb *= inv;
-    store_.absorb_white(mean);
-  }
-}
-
 ReceiverReport Receiver::process(std::span<const camera::Frame> frames) {
   return parse(collect(frames));
 }
@@ -261,23 +239,28 @@ void Receiver::permute_calibration_colors(
   colors = std::move(out);
 }
 
+int Receiver::absorb_calibration_packet(const SlotTimeline& timeline, std::size_t position,
+                                        const CalibrationMatch& match) {
+  const auto raw = read_calibration_colors(timeline, position + match.prefix->size());
+  auto colors = raw;
+  permute_calibration_colors(colors, match.variant);
+  const int observed = observed_color_count(colors);
+  if (observed > 0) {
+    store_.absorb_calibration_partial(colors);
+    // Train after absorption so the engine's reference prior sees the
+    // freshly blended store.
+    train_engine(raw, match.variant);
+  }
+  return observed;
+}
+
 std::size_t Receiver::prescan_calibration(const SlotTimeline& timeline, std::size_t from,
                                           std::size_t limit) {
   limit = std::min(limit, timeline.slots.size());
   std::size_t position = from;
   for (; position < limit && !store_.calibrated(); ++position) {
     const std::optional<CalibrationMatch> entry = match_calibration(timeline, position);
-    if (!entry.has_value()) continue;
-    const auto raw = read_calibration_colors(timeline, position + entry->prefix->size());
-    auto colors = raw;
-    permute_calibration_colors(colors, entry->variant);
-    if (observed_color_count(colors) > 0) {
-      absorb_pattern_white(timeline, position, *entry->prefix);
-      store_.absorb_calibration_partial(colors);
-      // Train after absorption so the engine's reference prior sees the
-      // freshly blended store.
-      train_engine(raw, entry->variant);
-    }
+    if (entry.has_value()) (void)absorb_calibration_packet(timeline, position, *entry);
   }
   return position;
 }
@@ -341,14 +324,8 @@ std::size_t Receiver::parse_from(const SlotTimeline& timeline, std::size_t start
       PacketRecord record;
       record.kind = protocol::PacketKind::kCalibration;
       record.start_slot = timeline.base_slot + static_cast<long long>(position);
-      const auto raw = read_calibration_colors(timeline, colors_at);
-      auto colors = raw;
-      permute_calibration_colors(colors, calibration_entry->variant);
-      const int observed = observed_color_count(colors);
+      const int observed = absorb_calibration_packet(timeline, position, *calibration_entry);
       if (observed > 0) {
-        absorb_pattern_white(timeline, position, *calibration_entry->prefix);
-        store_.absorb_calibration_partial(colors);
-        train_engine(raw, calibration_entry->variant);
         record.ok = true;
         record.erased_slots = constellation_.size() - observed;
         ++report.calibration_packets;
@@ -361,15 +338,14 @@ std::size_t Receiver::parse_from(const SlotTimeline& timeline, std::size_t start
       continue;
     }
 
-    // Data packet. Defer before any absorption when the header could
-    // still be completed by slots past the current head.
+    // Data packet. Defer when the header could still be completed by
+    // slots past the current head.
     const std::size_t header_end = position + data_prefix.size() +
                                    static_cast<std::size_t>(size_symbols);
     if (!final_flush && header_end > end) break;
     PacketRecord record;
     record.kind = protocol::PacketKind::kData;
     record.start_slot = timeline.base_slot + static_cast<long long>(position);
-    absorb_pattern_white(timeline, position, data_prefix);
 
     if (!store_.has_any_reference()) {
       record.failure = PacketFailure::kNotCalibrated;
@@ -423,9 +399,7 @@ std::size_t Receiver::parse_from(const SlotTimeline& timeline, std::size_t start
     const int payload_slots = schedule.slots_for_data(*payload_symbols);
     const std::size_t payload_at = size_at + static_cast<std::size_t>(size_symbols);
     // Defer a body that runs past the head: its tail can arrive with the
-    // next frame. The white absorbed above re-absorbs to the identical
-    // mean on the retry (the prefix slots are already final), so
-    // deferral keeps the store byte-identical to the offline pass.
+    // next frame.
     if (!final_flush && payload_at + static_cast<std::size_t>(payload_slots) > end) break;
     if (payload_at + static_cast<std::size_t>(payload_slots) > end) {
       record.failure = PacketFailure::kTruncated;

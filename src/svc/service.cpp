@@ -810,6 +810,10 @@ std::vector<adapt::AdaptiveRunResult> run_adaptive_batch(
   std::vector<JobRequest> jobs;
   jobs.reserve(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Refuse a run no simulator would take before any job runs or any
+    // worker spawns, as make_jobs does for a sweep.
+    runs[i].config.validate();
+    runs[i].trajectory.validate();
     JobRequest job;
     job.id = static_cast<long long>(i);
     job.point = static_cast<int>(i);

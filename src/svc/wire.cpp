@@ -162,13 +162,6 @@ void fields(Is<led::TriLedConfig> auto& s, auto& v) {
   v("max_symbol_rate_hz", s.max_symbol_rate_hz);
 }
 
-void fields(Is<rx::ClassifierConfig> auto& s, auto& v) {
-  v("off_lightness", s.off_lightness);
-  v("off_max_chroma", s.off_max_chroma);
-  v("confident_delta_e", s.confident_delta_e);
-  v("matching_space", s.matching_space);
-}
-
 void fields(Is<eq::EngineConfig> auto& s, auto& v) {
   v("kind", s.kind);
   v("channel_taps", s.channel_taps);
@@ -190,7 +183,7 @@ void fields(Is<core::LinkConfig> auto& s, auto& v) {
   v("pd", s.pd);
   v("led", s.led);
   v("calibration_rate_hz", s.calibration_rate_hz);
-  v("classifier", s.classifier);
+  v("matching_space", s.matching_space);
   v("engine", s.engine);
   v("enable_dephasing_pad", s.enable_dephasing_pad);
   v("use_erasure_decoding", s.use_erasure_decoding);
@@ -238,7 +231,7 @@ void fields(Is<adapt::AdaptiveLinkConfig> auto& s, auto& v) {
   v("profile", s.profile);
   v("illumination_ratio", s.illumination_ratio);
   v("calibration_rate_hz", s.calibration_rate_hz);
-  v("classifier", s.classifier);
+  v("matching_space", s.matching_space);
   v("pipeline_lookahead", s.pipeline_lookahead);
   v("monitor", s.monitor);
   v("controller", s.controller);

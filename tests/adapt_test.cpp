@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <string>
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/core/link.hpp"
+#include "colorbars/led/tri_led.hpp"
+#include "colorbars/svc/service.hpp"
+#include "colorbars/svc/wire.hpp"
 #include "colorbars/tx/transmitter.hpp"
 #include "colorbars/util/rng.hpp"
 
@@ -76,74 +83,22 @@ TEST(Adapt, MonitorResetClearsEstimate) {
   monitor.reset();
   EXPECT_FALSE(monitor.quality().valid());
   EXPECT_FALSE(monitor.quality().margin_valid);
-  EXPECT_FALSE(monitor.quality().header_loss_valid);
-  EXPECT_FALSE(monitor.quality().frame_drop_valid);
-  EXPECT_FALSE(monitor.quality().corrected_valid);
-}
-
-TEST(Adapt, MonitorRatioSignalsSkipEmptyDenominators) {
-  LinkMonitor monitor({.alpha = 0.5});
-  // Establish lossy estimates: half the sent packets lose their header,
-  // half the frames drop, and each decided packet needed 4 corrections.
-  LinkQualitySample lossy;
-  lossy.packets_sent = 10;
-  lossy.packets_decided = 5;
-  lossy.packets_ok = 5;
-  lossy.header_losses = 5;
-  lossy.corrected_symbols = 20;
-  lossy.frames_streamed = 10;
-  lossy.frames_dropped = 10;
-  monitor.observe(lossy);
-  EXPECT_TRUE(monitor.quality().header_loss_valid);
-  EXPECT_TRUE(monitor.quality().frame_drop_valid);
-  EXPECT_TRUE(monitor.quality().corrected_valid);
-  EXPECT_DOUBLE_EQ(monitor.quality().header_loss, 0.5);
-  EXPECT_DOUBLE_EQ(monitor.quality().frame_drop, 0.5);
-  EXPECT_DOUBLE_EQ(monitor.quality().corrected_per_packet, 4.0);
-
-  // A completely idle interval (nothing sent, no frames, no decisions)
-  // carries no evidence about any ratio: every estimate must hold
-  // instead of decaying toward the 0.0 placeholder.
-  monitor.observe(LinkQualitySample{});
-  EXPECT_DOUBLE_EQ(monitor.quality().header_loss, 0.5);
-  EXPECT_DOUBLE_EQ(monitor.quality().frame_drop, 0.5);
-  EXPECT_DOUBLE_EQ(monitor.quality().corrected_per_packet, 4.0);
-  EXPECT_EQ(monitor.quality().samples, 2);
-
-  // A dead interval (sent but nothing decided) IS evidence about header
-  // loss (denominator packets_sent) but not about corrections
-  // (denominator packets_decided).
-  LinkQualitySample dead = dead_sample();
-  dead.header_losses = 10;
-  monitor.observe(dead);
-  EXPECT_DOUBLE_EQ(monitor.quality().header_loss, 0.75);  // 0.5 + 0.5*(1.0-0.5)
-  EXPECT_DOUBLE_EQ(monitor.quality().corrected_per_packet, 4.0);
 }
 
 TEST(Adapt, MonitorRatioSignalsInitializeOnFirstEvidence) {
   LinkMonitor monitor({.alpha = 0.5});
-  // Several idle intervals first: the ratio estimates stay invalid and
-  // must not be dragged toward zero before any evidence arrives.
+  // Idle intervals first: they carry no margin, so the margin estimate
+  // stays invalid instead of being dragged toward zero.
   monitor.observe(LinkQualitySample{});
   monitor.observe(LinkQualitySample{});
-  EXPECT_FALSE(monitor.quality().header_loss_valid);
-  EXPECT_FALSE(monitor.quality().frame_drop_valid);
-  EXPECT_FALSE(monitor.quality().corrected_valid);
+  EXPECT_FALSE(monitor.quality().margin_valid);
 
-  LinkQualitySample lossy;
-  lossy.packets_sent = 4;
-  lossy.header_losses = 4;
-  lossy.packets_decided = 2;
-  lossy.packets_ok = 0;
-  lossy.corrected_symbols = 6;
-  lossy.frames_streamed = 3;
-  lossy.frames_dropped = 1;
-  monitor.observe(lossy);
-  // First evidence initializes outright — not blended against the
-  // defaults the idle intervals left behind.
-  EXPECT_DOUBLE_EQ(monitor.quality().header_loss, 1.0);
-  EXPECT_DOUBLE_EQ(monitor.quality().frame_drop, 0.25);
-  EXPECT_DOUBLE_EQ(monitor.quality().corrected_per_packet, 3.0);
+  // The first interval with margins initializes the estimate outright,
+  // not blended against the default the idle intervals left behind.
+  monitor.observe(good_sample());
+  EXPECT_TRUE(monitor.quality().margin_valid);
+  EXPECT_DOUBLE_EQ(monitor.quality().margin, 5.0);
+  EXPECT_EQ(monitor.quality().samples, 3);
 }
 
 // -------------------------------------------------------------- controller
@@ -588,6 +543,69 @@ TEST(Adapt, SimulatorValidatesConfiguration) {
   config.initial_rung = 99;
   EXPECT_THROW(AdaptiveLinkSimulator(config, walkaway_trajectory()),
                std::invalid_argument);
+}
+
+Trajectory trajectory_of(std::initializer_list<double> durations) {
+  Trajectory trajectory;
+  for (const double duration : durations) {
+    TrajectorySegment segment;
+    segment.duration_s = duration;
+    trajectory.segments.push_back(segment);
+  }
+  return trajectory;
+}
+
+TEST(Adapt, TrajectoryBeyondTheSlotBudgetIsRejected) {
+  // A run transmits until its trajectory ends, so a total whose slots at
+  // the tri-LED's rate limit pass INT_MAX would run (nearly) forever.
+  // Each such trajectory is refused before anything runs; none is run.
+  const double rate = led::TriLedConfig{}.max_symbol_rate_hz;
+  const double budget_s = static_cast<double>(INT_MAX) / rate;
+  const double past_budget_s = (static_cast<double>(INT_MAX) + 1.0) / rate;
+  ASSERT_EQ(std::ceil(budget_s * rate), static_cast<double>(INT_MAX));
+  ASSERT_EQ(std::ceil(past_budget_s * rate), static_cast<double>(INT_MAX) + 1.0);
+  EXPECT_NO_THROW(trajectory_of({budget_s}).validate());
+
+  const double max = std::numeric_limits<double>::max();
+  const Trajectory over_budget[] = {
+      trajectory_of({1e300}),
+      trajectory_of({std::numeric_limits<double>::infinity()}),
+      trajectory_of({max, max}),  // each segment is finite, the sum is not
+      trajectory_of({past_budget_s}),
+  };
+  for (const Trajectory& trajectory : over_budget) {
+    try {
+      trajectory.validate();
+      ADD_FAILURE() << "accepted " << trajectory.total_duration_s() << " s";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("Trajectory"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(AdaptiveLinkSimulator({}, trajectory), std::invalid_argument);
+  }
+
+  // The wire decoder refuses such a job.
+  svc::JobRequest job;
+  job.is_adaptive = true;
+  job.trajectory = walkaway_trajectory();
+  std::string error;
+  ASSERT_TRUE(svc::parse_message(svc::encode_job(job), &error).has_value()) << error;
+  job.trajectory.segments[0].duration_s = 1e300;
+  EXPECT_FALSE(svc::parse_message(svc::encode_job(job), &error).has_value());
+  EXPECT_NE(error.find("Trajectory"), std::string::npos) << error;
+
+  // run_adaptive_batch throws before any job runs or worker spawns: the
+  // stats it would write stay untouched.
+  for (const int workers : {0, 2}) {
+    svc::ServiceConfig service;
+    service.workers = workers;
+    svc::SvcStats stats;
+    stats.jobs_total = -1;
+    EXPECT_THROW((void)svc::run_adaptive_batch({{AdaptiveLinkConfig{}, trajectory_of({1e300})}},
+                                               service, &stats),
+                 std::invalid_argument);
+    EXPECT_EQ(stats.jobs_total, -1) << workers << " workers";
+  }
 }
 
 TEST(Adapt, TrajectorySegmentLookup) {

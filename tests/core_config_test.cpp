@@ -7,11 +7,10 @@ namespace {
 
 TEST(LinkConfigKnobs, ClassifierPropagatesToReceiver) {
   LinkConfig config;
-  config.classifier.matching_space = rx::MatchingSpace::kRgb;
-  config.classifier.off_lightness = 22.0;
+  config.matching_space = rx::MatchingSpace::kRgb;
   const rx::ReceiverConfig receiver = config.receiver_config();
-  EXPECT_EQ(receiver.classifier.matching_space, rx::MatchingSpace::kRgb);
-  EXPECT_DOUBLE_EQ(receiver.classifier.off_lightness, 22.0);
+  EXPECT_EQ(receiver.matching_space, rx::MatchingSpace::kRgb);
+  EXPECT_EQ(rx::Receiver(receiver).store().matching_space(), rx::MatchingSpace::kRgb);
 }
 
 TEST(LinkConfigKnobs, AblationFlagsPropagate) {

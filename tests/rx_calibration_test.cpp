@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
+
+#include "colorbars/eq/engine.hpp"
+
 namespace colorbars::rx {
 namespace {
 
@@ -10,6 +15,13 @@ SlotObservation observation(double a, double b, double lightness) {
   obs.chroma = {a, b};
   obs.lightness = lightness;
   return obs;
+}
+
+/// Absorbs one fully observed calibration packet of chroma references.
+void absorb(CalibrationStore& store, std::initializer_list<color::ChromaAB> chromas) {
+  std::vector<std::optional<ReferenceColor>> colors;
+  for (const color::ChromaAB& chroma : chromas) colors.push_back(ReferenceColor{chroma, 0.0, {}});
+  store.absorb_calibration_partial(colors);
 }
 
 TEST(CalibrationStore, RejectsInvalidSymbolCount) {
@@ -24,12 +36,12 @@ TEST(CalibrationStore, StartsUncalibrated) {
 
 TEST(CalibrationStore, AbsorbRejectsWrongColorCount) {
   CalibrationStore store(8);
-  EXPECT_THROW(store.absorb_calibration({{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(absorb(store, {{1, 1}}), std::invalid_argument);
 }
 
 TEST(CalibrationStore, AbsorbMakesReferencesAvailable) {
   CalibrationStore store(4);
-  store.absorb_calibration({{50, 0}, {-40, 30}, {0, -60}, {1, 2}});
+  absorb(store, {{50, 0}, {-40, 30}, {0, -60}, {1, 2}});
   EXPECT_TRUE(store.calibrated());
   ASSERT_TRUE(store.reference(2).has_value());
   EXPECT_DOUBLE_EQ(store.reference(2)->b, -60.0);
@@ -49,59 +61,16 @@ TEST(CalibrationStore, DimButChromaticIsNotOff) {
   EXPECT_FALSE(store.is_off(observation(30, -70, 12)));
 }
 
-TEST(CalibrationStore, ClassifiesOffFirst) {
-  CalibrationStore store(4);
-  store.absorb_calibration({{50, 0}, {-40, 30}, {0, -60}, {1, 2}});
-  const Classification result = store.classify(observation(0, 0, 3));
-  EXPECT_EQ(result.symbol.kind, protocol::SymbolKind::kOff);
-  EXPECT_TRUE(result.confident);
-}
-
-TEST(CalibrationStore, UncalibratedLitBandIsWhite) {
-  CalibrationStore store(8);
-  store.absorb_white({1.0, 2.0});
-  const Classification near_white = store.classify(observation(1.5, 2.2, 60));
-  EXPECT_EQ(near_white.symbol.kind, protocol::SymbolKind::kWhite);
-  EXPECT_TRUE(near_white.confident);
-  const Classification colored = store.classify(observation(60, -10, 60));
-  EXPECT_EQ(colored.symbol.kind, protocol::SymbolKind::kWhite);
-  EXPECT_FALSE(colored.confident);
-}
-
 TEST(CalibrationStore, ClassifiesNearestReference) {
+  // The receiver's decision: the default engine picks the nearest
+  // learned reference, and its margin is the runner-up's distance minus
+  // the winner's.
   CalibrationStore store(4);
-  store.absorb_calibration({{50, 0}, {-40, 30}, {0, -60}, {1, 2}});
-  store.absorb_white({0, 0});
-  const Classification result = store.classify(observation(45, 5, 60));
-  EXPECT_EQ(result.symbol.kind, protocol::SymbolKind::kData);
-  EXPECT_EQ(result.symbol.data_index, 0);
-  EXPECT_NEAR(result.distance, std::hypot(5.0, 5.0), 1e-9);
-}
-
-TEST(CalibrationStore, WhiteWinsWhenStrictlyCloser) {
-  CalibrationStore store(2);
-  store.absorb_calibration({{50, 0}, {-50, 0}});
-  store.absorb_white({0, 0});
-  const Classification result = store.classify(observation(2, 1, 60));
-  EXPECT_EQ(result.symbol.kind, protocol::SymbolKind::kWhite);
-}
-
-TEST(CalibrationStore, RecalibrationReplacesReferences) {
-  CalibrationStore store(2);
-  store.absorb_calibration({{50, 0}, {-50, 0}});
-  store.absorb_calibration({{10, 40}, {-10, -40}});
-  ASSERT_TRUE(store.reference(0).has_value());
-  EXPECT_DOUBLE_EQ(store.reference(0)->b, 40.0);
-}
-
-TEST(CalibrationStore, ConfidenceThresholdApplied) {
-  ClassifierConfig config;
-  config.confident_delta_e = 3.0;
-  CalibrationStore store(2, config);
-  store.absorb_calibration({{50, 0}, {-50, 0}});
-  store.absorb_white({0, 0});
-  EXPECT_TRUE(store.classify(observation(51, 1, 60)).confident);
-  EXPECT_FALSE(store.classify(observation(40, 15, 60)).confident);
+  absorb(store, {{50, 0}, {-40, 30}, {0, -60}, {1, 2}});
+  const std::optional<SlotObservation> window[] = {observation(45, 5, 60)};
+  double margin = 0.0;
+  EXPECT_EQ(eq::make_engine(eq::EngineConfig{})->decide(store, window, 0, &margin), 0);
+  EXPECT_NEAR(margin, std::hypot(44.0, 3.0) - std::hypot(5.0, 5.0), 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "colorbars/eq/engine.hpp"
 #include "colorbars/rx/calibration_store.hpp"
 
 namespace colorbars::rx {
@@ -18,19 +19,21 @@ ReferenceColor reference(double a, double b, double lightness = 60.0,
   return {{a, b}, lightness, rgb};
 }
 
+/// The receiver's decision for one observation: the default engine.
+int decide(const CalibrationStore& store, const SlotObservation& obs, double* margin) {
+  const std::optional<SlotObservation> window[] = {obs};
+  return eq::make_engine(eq::EngineConfig{})->decide(store, window, 0, margin);
+}
+
 TEST(MatchingSpace, CielabAbIgnoresLightnessAndRgb) {
-  ClassifierConfig config;
-  config.matching_space = MatchingSpace::kCielabAB;
-  const CalibrationStore store(4, config);
+  const CalibrationStore store(4, MatchingSpace::kCielabAB);
   const double d = store.distance(observation(10, 0, 99, {1, 1, 1}),
                                   reference(13, 4, 5, {0, 0, 0}));
   EXPECT_DOUBLE_EQ(d, 5.0);
 }
 
 TEST(MatchingSpace, Cielab94UsesLightness) {
-  ClassifierConfig config;
-  config.matching_space = MatchingSpace::kCielab94;
-  const CalibrationStore store(4, config);
+  const CalibrationStore store(4, MatchingSpace::kCielab94);
   const double same_l = store.distance(observation(10, 0, 50), reference(10, 0, 50));
   const double diff_l = store.distance(observation(10, 0, 90), reference(10, 0, 50));
   EXPECT_DOUBLE_EQ(same_l, 0.0);
@@ -38,9 +41,7 @@ TEST(MatchingSpace, Cielab94UsesLightness) {
 }
 
 TEST(MatchingSpace, RgbUsesOnlyRgb) {
-  ClassifierConfig config;
-  config.matching_space = MatchingSpace::kRgb;
-  const CalibrationStore store(4, config);
+  const CalibrationStore store(4, MatchingSpace::kRgb);
   const double d = store.distance(observation(99, 99, 99, {0.5, 0.5, 0.5}),
                                   reference(0, 0, 0, {0.5, 0.5, 0.5}));
   EXPECT_DOUBLE_EQ(d, 0.0);
@@ -52,24 +53,30 @@ TEST(MatchingSpace, RgbUsesOnlyRgb) {
 TEST(MatchingSpace, ClassificationWinnerDependsOnSpace) {
   // Two references: one close in chroma but far in RGB, one vice versa.
   const SlotObservation obs = observation(10, 10, 50, {0.8, 0.2, 0.2});
-  const std::vector<ReferenceColor> refs{
+  const std::vector<std::optional<ReferenceColor>> refs{
       reference(11, 11, 50, {0.1, 0.9, 0.9}),  // chroma-near, RGB-far
       reference(40, 40, 50, {0.8, 0.2, 0.2}),  // chroma-far, RGB-near
   };
 
-  ClassifierConfig lab_config;
-  lab_config.matching_space = MatchingSpace::kCielabAB;
-  CalibrationStore lab_store(2, lab_config);
-  lab_store.absorb_calibration(refs);
-  lab_store.absorb_white(reference(-100, -100, 60, {0, 0, 1}));
-  EXPECT_EQ(lab_store.classify(obs).symbol.data_index, 0);
+  CalibrationStore lab_store(2, MatchingSpace::kCielabAB);
+  lab_store.absorb_calibration_partial(refs);
+  EXPECT_EQ(decide(lab_store, obs, nullptr), 0);
 
-  ClassifierConfig rgb_config;
-  rgb_config.matching_space = MatchingSpace::kRgb;
-  CalibrationStore rgb_store(2, rgb_config);
-  rgb_store.absorb_calibration(refs);
-  rgb_store.absorb_white(reference(-100, -100, 60, {0, 0, 1}));
-  EXPECT_EQ(rgb_store.classify(obs).symbol.data_index, 1);
+  CalibrationStore rgb_store(2, MatchingSpace::kRgb);
+  rgb_store.absorb_calibration_partial(refs);
+  EXPECT_EQ(decide(rgb_store, obs, nullptr), 1);
+}
+
+TEST(MatchingSpace, EmptyStoreDecidesSymbolZeroWithoutMargin) {
+  // With no reference learned (a run whose calibration never arrived),
+  // both the CIELab fast path and the per-reference path decide symbol 0
+  // and report no margin.
+  for (const MatchingSpace space : {MatchingSpace::kCielabAB, MatchingSpace::kRgb}) {
+    const CalibrationStore store(8, space);
+    double margin = 0.0;
+    EXPECT_EQ(decide(store, observation(10, 10, 50, {0.8, 0.2, 0.2}), &margin), 0);
+    EXPECT_EQ(margin, -1.0);
+  }
 }
 
 TEST(MatchingSpace, PartialAbsorbBlendsAllChannels) {

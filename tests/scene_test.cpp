@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "colorbars/csk/constellation.hpp"
 #include "colorbars/led/tri_led.hpp"
 #include "colorbars/protocol/symbols.hpp"
+#include "colorbars/tx/transmitter.hpp"
+#include "colorbars/util/rng.hpp"
 
 namespace colorbars::scene {
 namespace {
@@ -160,11 +164,71 @@ TEST(Scene, SimulatorValidatesSceneAtConstruction) {
 }
 
 TEST(Scene, ReceiverKeepsRetiredLanePackets) {
-  // A lane whose track retires must keep its decoded packets in lanes().
+  // A lane whose track retires must keep its decoded packets in lanes(),
+  // and stop being fed.
+  const SceneConfig scene = two_luminaire_config();
+  const tx::Transmitter transmitter(scene.link.transmitter_config());
+  util::Xoshiro256 rng(scene.link.seed);
+  const tx::Transmission transmission =
+      transmitter.transmit(core::draw_burst_payload(scene.link, 0.5, rng));
+  camera::RollingShutterCamera camera(scene.link.profile, {}, 0x5ce2);
+  const channel::OpticalChannel optics;
+  SceneFrameRenderer renderer(
+      camera, {{&transmission.trace, &optics, scene.scene.luminaires[0].region}},
+      transmission.duration_s());
+
   SceneReceiverConfig config;
+  config.receiver = scene.link.receiver_config();
   SceneReceiver receiver(config);
-  EXPECT_EQ(receiver.lanes().size(), 0u);
-  receiver.on_stream_end();  // no lanes: must be a harmless no-op
+  // 1. Stream the one-luminaire capture until its lane decodes packets.
+  camera::Frame frame;
+  camera::RenderScratch scratch;
+  for (int i = 0; i < renderer.plan().frame_count(); ++i) {
+    renderer.render(i, frame, scratch);
+    receiver.consume(frame);
+  }
+  ASSERT_EQ(receiver.lanes().size(), 1u);
+  ASSERT_EQ(receiver.tracker().tracks().size(), 1u);
+
+  // 2. Dark frames of the same shape, later in time, until the track has
+  // gone unseen for more than retire_after_frames frames.
+  camera::Frame dark = frame;
+  std::fill(dark.pixels.begin(), dark.pixels.end(), color::Rgb8{});
+  const auto feed_dark = [&] {
+    dark.start_time_s += scene.link.profile.frame_period_s();
+    ++dark.frame_index;
+    receiver.consume(dark);
+  };
+  for (int i = 0; i <= config.tracker.retire_after_frames; ++i) feed_dark();
+
+  // 3. The track is gone; 4. the lane stays, with what it decoded.
+  EXPECT_TRUE(receiver.tracker().tracks().empty());
+  ASSERT_EQ(receiver.lanes().size(), 1u);
+  const std::vector<rx::PacketRecord> decoded =
+      receiver.lanes()[0].receiver->report().packets;
+  EXPECT_TRUE(std::any_of(decoded.begin(), decoded.end(),
+                          [](const rx::PacketRecord& record) { return record.ok; }));
+
+  // 5. Later frames are consumed, but no longer fed to the retired lane.
+  const int fed = receiver.lanes()[0].frames_fed;
+  const int consumed = receiver.frames_consumed();
+  feed_dark();
+  feed_dark();
+  EXPECT_EQ(receiver.frames_consumed(), consumed + 2);
+  EXPECT_EQ(receiver.lanes()[0].frames_fed, fed);
+
+  // 6. The end-of-stream flush keeps the lane and every packet it held.
+  receiver.on_stream_end();
+  ASSERT_EQ(receiver.lanes().size(), 1u);
+  const std::vector<rx::PacketRecord>& flushed =
+      receiver.lanes()[0].receiver->report().packets;
+  ASSERT_GE(flushed.size(), decoded.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(flushed[i].ok, decoded[i].ok) << i;
+    EXPECT_EQ(flushed[i].start_slot, decoded[i].start_slot) << i;
+    EXPECT_EQ(flushed[i].payload, decoded[i].payload) << i;
+  }
+  EXPECT_EQ(receiver.lanes()[0].frames_fed, fed);
 }
 
 }  // namespace

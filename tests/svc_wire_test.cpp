@@ -192,10 +192,7 @@ core::LinkConfig exercised_config() {
   config.led.max_symbol_rate_hz = 4200.0;
   config.led.gamut = color::GamutTriangle({0.68, 0.31}, {0.25, 0.70}, {0.14, 0.05});
   config.calibration_rate_hz = 7.5;
-  config.classifier.off_lightness = 33.0;
-  config.classifier.off_max_chroma = 21.0;
-  config.classifier.confident_delta_e = 4.5;
-  config.classifier.matching_space = rx::MatchingSpace::kCielab94;
+  config.matching_space = rx::MatchingSpace::kCielab94;
   config.engine.kind = eq::EngineKind::kLinearMmse;
   config.engine.channel_taps = 4;
   config.engine.equalizer_taps = 10;
@@ -231,7 +228,7 @@ TEST(SvcWire, LinkConfigRoundTripsEveryKnob) {
   EXPECT_EQ(decoded->channel.flicker.frequency_hz, 120.0);
   EXPECT_EQ(decoded->pd.channels[1].filter_xyz.y, 0.5);
   EXPECT_EQ(decoded->led.gamut.green().y, 0.70);
-  EXPECT_EQ(decoded->classifier.matching_space, rx::MatchingSpace::kCielab94);
+  EXPECT_EQ(decoded->matching_space, rx::MatchingSpace::kCielab94);
   EXPECT_EQ(decoded->engine.kind, eq::EngineKind::kLinearMmse);
   EXPECT_FALSE(decoded->enable_dephasing_pad);
   EXPECT_FALSE(decoded->use_erasure_decoding);
@@ -552,7 +549,7 @@ JobRequest exercised_adaptive_job() {
   job.adaptive.profile = camera::iphone5s_profile();
   job.adaptive.illumination_ratio = 0.7;
   job.adaptive.calibration_rate_hz = 6.0;
-  job.adaptive.classifier.matching_space = rx::MatchingSpace::kRgb;
+  job.adaptive.matching_space = rx::MatchingSpace::kRgb;
   job.adaptive.pipeline_lookahead = 4;
   job.adaptive.monitor.alpha = 0.4;
   job.adaptive.controller.up_confirm_intervals = 3;
@@ -637,8 +634,8 @@ TEST(SvcWire, EncodingIsFrozen) {
     std::uint64_t hash;
   };
   const Case cases[] = {
-      {"link job", encode_job(exercised_link_job()), 0x2222deb2e313600bULL},
-      {"adaptive job", encode_job(exercised_adaptive_job()), 0xe9fd3693760646a0ULL},
+      {"link job", encode_job(exercised_link_job()), 0x7531c7bb12c0824dULL},
+      {"adaptive job", encode_job(exercised_adaptive_job()), 0xec86dfda9e8e3b27ULL},
       {"ser result", encode_job_result(exercised_result(TrialKind::kSer)),
        0xba133e201ba605a7ULL},
       {"throughput result", encode_job_result(exercised_result(TrialKind::kThroughput)),

@@ -29,8 +29,7 @@ TEST(UmbrellaHeader, ExposesTheWholePublicSurface) {
   EXPECT_TRUE(simd::backend_supported(simd::active_backend()));
   util::CaptureArena arena;
   EXPECT_EQ(arena.allocate<double>(4).size(), 4u);
-  const rx::ClassifierConfig classifier;
-  EXPECT_GT(classifier.off_lightness, 0.0);
+  EXPECT_GT(rx::kOffLightness, 0.0);
   const baseline::FskConfig fsk;
   EXPECT_EQ(fsk.bits_per_symbol(), 3);
   EXPECT_EQ(pd::default_pd_array().size(), 3u);
@@ -42,7 +41,7 @@ TEST(UmbrellaHeader, ExposesTheWholePublicSurface) {
   EXPECT_EQ(link.engine.kind, eq::EngineKind::kNearestReference);
   EXPECT_EQ(link.transmitter_config().format.order, link.order);
   const adapt::LinkQuality quality;
-  EXPECT_FALSE(quality.header_loss_valid);
+  EXPECT_FALSE(quality.margin_valid);
   const scene::SceneSpec scene_spec;
   EXPECT_TRUE(scene_spec.luminaires.empty());
 }
